@@ -12,7 +12,6 @@ from .model import (
     TrainedModel,
     batch_centroids,
     compute_fairoids,
-    fair_assign,
     fair_objective,
     kl_loss,
     load_model,

@@ -18,7 +18,6 @@ from .nn import (
     backward,
     clip_gradients,
     forward,
-    grads_like,
     init_layer,
     sgd_step,
     squared_error,
@@ -60,15 +59,13 @@ def init_params(dims, rng_stream, std=None):
     """Fresh encoder + mirrored decoder. Names are enc0..encH-1, dec0..decH-1."""
     dims = tuple(dims)
     depth = len(dims) - 1
-    params = ParamSet()
-    for i in range(depth):
-        act = "identity" if i == depth - 1 else "relu"
-        params[f"enc{i}"] = init_layer(dims[i], dims[i + 1], act, rng_stream, std)
-    rev = dims[::-1]
-    for i in range(depth):
-        act = "identity" if i == depth - 1 else "relu"
-        params[f"dec{i}"] = init_layer(rev[i], rev[i + 1], act, rng_stream, std)
-    return params
+    entries = []
+    for prefix, widths in (("enc", dims), ("dec", dims[::-1])):
+        for i in range(depth):
+            act = "identity" if i == depth - 1 else "relu"
+            entries.append((f"{prefix}{i}",
+                            init_layer(widths[i], widths[i + 1], act, rng_stream, std)))
+    return ParamSet(entries)
 
 
 def encode(params, X):
@@ -93,30 +90,32 @@ def _minibatches(n, batch, order):
 
 
 def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
-    """One reconstruction epoch; returns (params, velocity, post-epoch loss).
-
-    Numerical blowups surface as an infinite loss instead of an exception
-    so the caller's backoff can roll the epoch back.
+    """One reconstruction epoch on copies of params and velocity, so the
+    caller can roll it back; returns (params, velocity, post-epoch loss).
+    Numerical blowups surface as an infinite loss instead of an exception.
     """
-    names = params.names()
+    params, velocity = params.copy(), velocity.copy()
+    names, layers = params.names(), params.layers()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             for idx in _minibatches(len(X), batch, order):
                 xb = X[idx]
-                out, tape = forward(params.layers(), xb, noise=dropout, rng=noise_stream)
+                out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
                 layer_grads, _ = backward(tape, squared_error_grad(out, xb))
-                grads = clip_gradients(grads_like(params, dict(zip(names, layer_grads))),
-                                       CLIP_NORM)
-                params, velocity = sgd_step(params, grads, lr, MOMENTUM, velocity)
-            out, _ = forward(params.layers(), X)
+                grads = params.zeros_like()
+                grads.assign(zip(names, layer_grads))
+                sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity)
+            out, _ = forward(layers, X)
             loss = squared_error(out, X)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             return params, velocity, np.inf
     return params, velocity, loss if np.isfinite(loss) else np.inf
 
 
-def _run_epochs(params, X, epochs, lr, batch, rng, dropout, on_epoch, diverged_msg):
-    """Shared epoch loop with learning-rate backoff.
+def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
+    """Shared epoch loop with learning-rate backoff. Returns (params,
+    [(epoch, clean full-data loss, learning rate), ...]) from epoch 0, the
+    starting loss.
 
     An epoch that goes non-finite or more than doubles the previous loss
     is rolled back, the rate halved, and the epoch retried once; if the
@@ -129,7 +128,7 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, on_epoch, diverged_m
     noise_stream = rng.stream("dropout") if dropout else None
     out, _ = forward(params.layers(), X)
     prev = squared_error(out, X)
-    on_epoch(0, prev, lr)
+    history = [(0, prev, lr)]
     for epoch in range(1, epochs + 1):
         order = shuffle.permutation(len(X))
         for attempt in (0, 1):
@@ -141,74 +140,52 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, on_epoch, diverged_m
             lr *= 0.5
             if lr < 1e-8:
                 raise RuntimeError(diverged_msg.format(epoch=epoch))
-        on_epoch(epoch, prev, lr)
-    return params
-
-
-def _train_pair(pair, X_in, epochs, lr, dropout, batch, rng, layer_index):
-    """Train one (encoder, decoder) pair as a denoising autoencoder.
-
-    The pair input is the clean output of the layers below; only the
-    pair's own input is corrupted. Logged losses are clean full-data
-    reconstruction errors measured after each epoch.
-    """
-    log = []
-
-    def record(epoch, loss, lr_now):
-        if epoch > 0:
-            log.append({"stage": "layerwise", "layer": layer_index, "epoch": epoch,
-                        "loss": loss})
-
-    pair = _run_epochs(pair, X_in, epochs, lr, batch, rng, dropout, record,
-                       f"layer-wise pretraining diverged at layer {layer_index}"
-                       " (epoch {epoch})")
-    return pair, log
+        history.append((epoch, prev, lr))
+    return params, history
 
 
 def pretrain_layerwise(X, cfg, rng=None):
     """Greedy layer-wise pretraining of the full encoder/decoder stack.
 
-    Each layer pair trains on the clean output of the already-trained
-    layers below it, corrupting only its own input with dropout noise and
-    minimizing squared reconstruction error. Returns (params, log).
+    Each (encoder, decoder) layer pair trains as a denoising autoencoder on
+    the clean output of the already-trained layers below it, corrupting
+    only its own input with dropout noise and minimizing squared
+    reconstruction error. Logged losses are clean full-data reconstruction
+    errors after each epoch. Returns (params, log).
     """
     X = np.asarray(X, dtype=float)
     cfg = _check_input(X, cfg)
     rng = rng or Rng(cfg.seed)
-    params = init_params(cfg.dims, rng.stream("init"))
+    init = init_params(cfg.dims, rng.stream("init"))
     depth = len(cfg.dims) - 1
-    log = []
-    h = X
+    trained, log, h = {}, [], X
     for i in range(depth):
         enc_name, dec_name = f"enc{i}", f"dec{depth - 1 - i}"
-        pair = ParamSet([(enc_name, params[enc_name]), (dec_name, params[dec_name])])
-        pair, pair_log = _train_pair(pair, h, cfg.layerwise_epochs, cfg.lr_pretrain,
-                                     cfg.dropout, cfg.batch, rng, i)
-        params[enc_name] = pair[enc_name]
-        params[dec_name] = pair[dec_name]
-        log.extend(pair_log)
-        h, _ = forward([params[enc_name]], h)
-    return params, log
+        pair, history = _run_epochs(
+            ParamSet([(enc_name, init[enc_name]), (dec_name, init[dec_name])]), h,
+            cfg.layerwise_epochs, cfg.lr_pretrain, cfg.batch, rng, cfg.dropout,
+            f"layer-wise pretraining diverged at layer {i} (epoch {{epoch}})")
+        trained.update(pair.items())
+        log += [{"stage": "layerwise", "layer": i, "epoch": epoch, "loss": loss}
+                for epoch, loss, _ in history[1:]]
+        h, _ = forward([pair[enc_name]], h)
+    return ParamSet((name, trained[name]) for name in init.names()), log
 
 
 def finetune_global(X, params, epochs, lr, batch=256, rng=None):
-    """End-to-end reconstruction training without corruption.
+    """End-to-end reconstruction training without corruption; params is
+    left as it is.
 
     Each logged loss is the full-data reconstruction error after the
     epoch (entry 0 is the starting loss). A non-finite epoch, or one that
     more than doubles the previous loss, is rolled back, the learning
     rate halved, and the epoch retried once.
     """
-    X = np.asarray(X, dtype=float)
-    rng = rng or Rng(0)
-    log = []
-
-    def record(epoch, loss, lr_now):
-        log.append({"stage": "global", "epoch": epoch, "loss": loss, "lr": lr_now})
-
-    params = _run_epochs(params.copy(), X, epochs, lr, batch, rng, 0.0, record,
-                         "global fine-tuning diverged at epoch {epoch}")
-    return params, log
+    params, history = _run_epochs(params, np.asarray(X, dtype=float), epochs, lr, batch,
+                                  rng or Rng(0), 0.0,
+                                  "global fine-tuning diverged at epoch {epoch}")
+    return params, [{"stage": "global", "epoch": epoch, "loss": loss, "lr": lr_now}
+                    for epoch, loss, lr_now in history]
 
 
 def pretrain(X, cfg):

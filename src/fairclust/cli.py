@@ -174,6 +174,8 @@ def resolve(args, command):
     missing = [k for k in REQUIRED[command] if resolved.get(k) is None]
     if missing:
         raise CliError(f"missing required options: {missing}")
+    if resolved.get("seeds") == []:
+        raise CliError("--seeds must list at least one seed")
     return resolved
 
 
@@ -388,7 +390,7 @@ def cmd_eval(opts):
         hist_path = metrics.histograms_to_csv(rep, out / "histograms.csv")
         artifacts.append(hist_path.name)
         if opts["dump_latent"]:
-            Z = model.encode_latent(trained, ds.features)
+            Z = autoencoder.encode(trained.params, ds.features)
             latent_path = out / "latent.csv"
             with latent_path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

@@ -140,8 +140,10 @@ def load_csv(path, schema):
 
     schema maps column names to roles: feature (numeric), categorical
     (one-hot expanded), label (at most one), protected (exactly one).
-    Columns absent from the schema are ignored. Missing or unparseable
-    numeric cells are an error naming the row and column.
+    Columns absent from the schema are ignored. Features keep the file's
+    column order, not the schema's (a manifest's roles are key-sorted:
+    f0, f1, f10, ...). Missing or unparseable numeric cells are an error
+    naming the row and column.
     """
     path = Path(path)
     if not path.exists():
@@ -169,6 +171,8 @@ def load_csv(path, schema):
         if missing:
             raise ValueError(f"columns not present in the file: {missing}")
         col_idx = {c: header.index(c) for c in schema}
+        feature_cols.sort(key=col_idx.get)
+        categorical_cols.sort(key=col_idx.get)
         numeric = {c: [] for c in feature_cols}
         raw_cat = {c: [] for c in categorical_cols}
         raw_prot, raw_label = [], []

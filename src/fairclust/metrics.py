@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +148,6 @@ class MetricsReport:
     acc: float | None = None
     nmi: float | None = None
     schema_version: int = REPORT_VERSION
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -162,7 +161,6 @@ class MetricsReport:
             "acc": self.acc,
             "nmi": self.nmi,
             "per_cluster": self.per_cluster,
-            **self.extras,
         }
 
     def to_json(self):

@@ -24,13 +24,11 @@ from . import metrics
 from .autoencoder import encode
 from .clustering import kmeans_pp_init, lloyd, squared_distances
 from .nn import (
-    AffineLayer,
     ParamSet,
     Rng,
     backward,
     clip_gradients,
     forward,
-    grads_like,
     sgd_step,
     squared_error,
     squared_error_grad,
@@ -99,7 +97,9 @@ def _t_kernel(d2, dof):
 
 
 def soft_assign(Z, centroids, dof=1.0):
-    """Row-stochastic Student's-t similarities between points and centroids."""
+    """Row-stochastic Student's-t similarities between points and centroids.
+    Also gives Phi (centroids against fairoids), whose row is uniform
+    exactly when its centroid is equidistant from every fairoid."""
     kernel = _t_kernel(squared_distances(Z, centroids), dof)
     return kernel / kernel.sum(axis=1, keepdims=True)
 
@@ -123,13 +123,6 @@ def compute_fairoids(Z, protected, T):
             raise ValueError(f"protected state {t} has no members")
         fairoids[t] = Z[members].mean(axis=0)
     return fairoids
-
-
-def fair_assign(centroids, fairoids, dof=1.0):
-    """Row-stochastic Student's-t similarities between centroids and
-    fairoids. A row is uniform exactly when its centroid is equidistant
-    from every fairoid."""
-    return soft_assign(centroids, fairoids, dof)
 
 
 def smooth_target(Phi, beta=1000.0, epsilon=1e-9):
@@ -188,21 +181,22 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
     """Loss components and exact gradients for one batch against fixed
     targets P (rows matching X) and Psi, with fairoids held constant.
 
-    params holds the encoder layers, the centroids entry, and (when the
-    reconstruction weight is positive) the decoder layers. Returns
-    (components dict, ParamSet gradients).
+    params holds the encoder layers, the (K, d) centroids matrix, and (when
+    the reconstruction weight is positive) the decoder layers. Returns
+    (components dict, gradients as a ParamSet with the layout of params;
+    entries the objective does not reach stay zero).
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
     enc_layers = params.layers("enc")
     enc_names = [name for name in params.names() if name.startswith("enc")]
-    M = params[CENTROIDS].weight
+    M = params[CENTROIDS]
     K = M.shape[0]
 
     Z, tape = forward(enc_layers, X)
     Q = soft_assign(Z, M, cfg.dof)
     cluster = kl_loss(P, Q) / n
-    Phi = fair_assign(M, fairoids, cfg.dof)
+    Phi = soft_assign(M, fairoids, cfg.dof)
     fair_norm = FAIRNESS_NORM_FACTOR * K * fairoids.shape[0]
     fairness = kl_loss(Psi, Phi) / fair_norm
 
@@ -212,7 +206,7 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
     dM_fair, _ = _kl_t_grads(Psi, Phi, M, fairoids, cfg.dof)
     dM = dM + (cfg.gamma / fair_norm) * dM_fair
 
-    named = {}
+    grads = params.zeros_like()
     recon = 0.0
     if cfg.recon_weight > 0:
         dec_layers = params.layers("dec")
@@ -221,12 +215,12 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
         recon = squared_error(Xhat, X)
         dec_grads, dZ_recon = backward(dec_tape, squared_error_grad(Xhat, X))
         dZ = dZ + cfg.recon_weight * dZ_recon
-        named.update({name: (cfg.recon_weight * dw, cfg.recon_weight * db)
-                      for name, (dw, db) in zip(dec_names, dec_grads)})
+        grads.assign((name, (cfg.recon_weight * dw, cfg.recon_weight * db))
+                     for name, (dw, db) in zip(dec_names, dec_grads))
 
     enc_grads, _ = backward(tape, dZ)
-    named.update(dict(zip(enc_names, enc_grads)))
-    named[CENTROIDS] = (dM, np.zeros(M.shape[1]))
+    grads.assign(zip(enc_names, enc_grads))
+    grads[CENTROIDS][...] = dM
 
     components = {
         "loss": cluster + cfg.gamma * fairness + cfg.recon_weight * recon,
@@ -234,7 +228,7 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
         "fairness": fairness,
         "recon": recon,
     }
-    return components, grads_like(params, named)
+    return components, grads
 
 
 def _epoch_pass_incore(params, X, protected, T, M, cfg, refresh):
@@ -243,7 +237,7 @@ def _epoch_pass_incore(params, X, protected, T, M, cfg, refresh):
     if not refresh:
         return Q, None, None
     fairoids = compute_fairoids(Z, protected, T)
-    Phi = fair_assign(M, fairoids, cfg.dof)
+    Phi = soft_assign(M, fairoids, cfg.dof)
     return Q, fairoids, Phi
 
 
@@ -280,7 +274,7 @@ def _epoch_pass_streaming(params, X, protected, T, M, cfg, refresh):
         est += batch_mass[:, None] * batch_centroids(P[sl], Zb)
         mass += batch_mass
     M_est = est / np.maximum(mass, 1e-12)[:, None]
-    Phi = fair_assign(M_est, fairoids, cfg.dof)
+    Phi = soft_assign(M_est, fairoids, cfg.dof)
     return Q, fairoids, Phi
 
 
@@ -316,7 +310,8 @@ def train(ds, ae_params, cfg):
     sweeps shuffled minibatches of the combined objective. Fairoids stay
     constant between refreshes and receive no gradient; the centroids ride
     in the parameter set and are updated by the same optimizer as the
-    network.
+    network. The decoder is trained only when recon_weight > 0; otherwise
+    it is returned as ae_params holds it. ae_params is never modified.
     """
     X = ds.features
     N = len(X)
@@ -326,24 +321,25 @@ def train(ds, ae_params, cfg):
         raise ValueError("training requires at least two protected states")
 
     rng = Rng(cfg.seed)
-    params = ae_params.copy()
-    Z0 = encode(params, X)
+    Z0 = encode(ae_params, X)
     if not np.all(np.isfinite(Z0)):
         raise RuntimeError("non-finite latents; the autoencoder checkpoint is unusable")
     M0 = init_centroids(Z0, cfg.K, rng.stream("kmeans"))
-    params[CENTROIDS] = AffineLayer(M0, np.zeros(M0.shape[1]), "identity")
+    prefixes = ("enc", "dec") if cfg.recon_weight > 0 else ("enc",)
+    params = ParamSet([*((name, layer) for name, layer in ae_params.items()
+                         if name.startswith(prefixes)), (CENTROIDS, M0)])
     velocity = params.zeros_like()
     epoch_pass = _epoch_pass_incore if cfg.refresh == "incore" else _epoch_pass_streaming
 
     shuffle = rng.stream("shuffle")
     history = []
     prev_hard = None
-    P = Psi = fairoids = None
+    P = Psi = fairoids = last_mean = None
     for epoch in range(cfg.max_epochs):
-        M = params[CENTROIDS].weight
         do_refresh = P is None or (cfg.refresh_interval > 0
                                    and epoch % cfg.refresh_interval == 0)
-        Q, new_fairoids, Phi = epoch_pass(params, X, ds.protected, ds.T, M, cfg, do_refresh)
+        Q, new_fairoids, Phi = epoch_pass(params, X, ds.protected, ds.T, params[CENTROIDS],
+                                          cfg, do_refresh)
         if do_refresh:
             fairoids = new_fairoids
             P = sharpen_target(Q)
@@ -364,35 +360,28 @@ def train(ds, ae_params, cfg):
         batches = 0
         for start in range(0, N, cfg.batch):
             idx = order[start : start + cfg.batch]
+            where = f"epoch {epoch}, batch {batches} (last finite mean loss {last_mean})"
             try:
                 components, grads = fair_objective(params, X[idx], P[idx], Psi,
                                                    fairoids, cfg)
-                finite = np.isfinite(components["loss"])
-                if finite:
-                    grads = clip_gradients(grads, cfg.clip_norm)
-                    params, velocity = sgd_step(params, grads, cfg.lr, MOMENTUM,
-                                                velocity)
+                if np.isfinite(components["loss"]):
+                    sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,
+                             MOMENTUM, velocity)
             except (ValueError, RuntimeError) as exc:
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {batches}: {exc}"
-                )
-            if not finite:
-                raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batches}")
+                raise RuntimeError(f"training failed at {where}: {exc}") from exc
+            if not np.isfinite(components["loss"]):
+                raise RuntimeError(f"non-finite loss at {where}")
             totals += (components["cluster"], components["fairness"], components["loss"])
             batches += 1
-        entry.update({
-            "L_cl": totals[0] / batches,
-            "L_fr": totals[1] / batches,
-            "L": totals[2] / batches,
-        })
+            last_mean = totals[2] / batches
+        entry.update(zip(("L_cl", "L_fr", "L"), totals / batches))
         history.append(entry)
 
-    M = params[CENTROIDS].weight.copy()
-    Z = encode(params, X)
-    fairoids = compute_fairoids(Z, ds.protected, ds.T)
-    network = ParamSet((name, layer) for name, layer in params.items() if name != CENTROIDS)
-    return TrainedModel(params=network, centroids=M, fairoids=fairoids,
-                        config=cfg, history=history)
+    fairoids = compute_fairoids(encode(params, X), ds.protected, ds.T)
+    network = ParamSet((name, params[name] if name in params else layer)
+                       for name, layer in ae_params.items())
+    return TrainedModel(params=network, centroids=params[CENTROIDS].copy(),
+                        fairoids=fairoids, config=cfg, history=history)
 
 
 def _epoch_metrics(hard, ds, K):
@@ -412,11 +401,6 @@ def predict(model, X):
     Z = encode(model.params, np.asarray(X, dtype=float))
     Q = soft_assign(Z, model.centroids, model.config.dof)
     return np.argmax(Q, axis=1)
-
-
-def encode_latent(model, X):
-    """Latent embeddings of X under the trained encoder."""
-    return encode(model.params, np.asarray(X, dtype=float))
 
 
 def save_model(model, path):

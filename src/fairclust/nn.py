@@ -2,8 +2,11 @@
 named deterministic random streams, and a finite-difference gradient checker.
 
 Tensors are plain float64 numpy arrays in row-major order; a data matrix is
-(n_rows, n_features). Arrays returned by the exported operations are new
-objects, so callers may treat everything here as pure given its inputs.
+(n_rows, n_features). A ParamSet keeps all of its entries in one contiguous
+buffer, and its layers are views into that buffer. `forward` and `backward`
+return new arrays and leave their inputs alone; `clip_gradients` and
+`sgd_step` update the ParamSets they are given in place, so copy a set
+before training it when the original must survive.
 """
 
 from __future__ import annotations
@@ -82,8 +85,13 @@ class AffineLayer:
     def n_out(self):
         return self.weight.shape[1]
 
-    def copy(self):
-        return AffineLayer(self.weight.copy(), self.bias.copy(), self.activation)
+    @classmethod
+    def _view(cls, weight, bias, activation):
+        """Wrap arrays that were already validated, without copying or
+        re-checking them."""
+        layer = cls.__new__(cls)
+        layer.weight, layer.bias, layer.activation = weight, bias, activation
+        return layer
 
 
 def init_layer(n_in, n_out, activation, rng, std=None):
@@ -100,87 +108,102 @@ def init_layer(n_in, n_out, activation, rng, std=None):
 
 
 class ParamSet:
-    """Ordered, named collection of affine layers.
+    """Ordered, named parameters held in one contiguous float64 buffer.
 
-    Supports exact flatten/unflatten round trips and versioned JSON
-    checkpoints. Entry order is insertion order and is preserved by
-    serialization.
+    An entry is an affine layer, stored as its weight (row-major) then its
+    bias, or a bare matrix such as the (K, d) cluster centroids. The layout
+    maps each name to (offset, shape, activation), with activation None for
+    a matrix. `params[name]` is an AffineLayer whose weight and bias are
+    views into the buffer, or the matrix view, so writing through it
+    changes the set. Entries are validated once, on insertion; inserting
+    or replacing one reallocates the buffer, which detaches earlier views.
+    Entry order is insertion order and is kept by flatten and serialization.
     """
 
     def __init__(self, entries=None):
-        self._entries = {}
-        if entries is not None:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for name, layer in items:
-                self[name] = layer
+        items = entries.items() if isinstance(entries, dict) else (entries or ())
+        layout, values, offset = {}, [], 0
+        for name, value in items:
+            if str(name) in layout:
+                raise ValueError(f"duplicate entry {name!r}")
+            weight, bias, activation = _entry_parts(value)
+            layout[str(name)] = (offset, weight.shape, activation)
+            values.append((weight, bias))
+            offset += weight.size + (0 if bias is None else bias.size)
+        self._attach(layout, np.empty(offset))
+        self.assign(zip(layout, values))
 
-    def __len__(self):
-        return len(self._entries)
+    def _attach(self, layout, buffer):
+        self._layout, self.buffer, self._views = layout, buffer, {}
+        for name, (offset, shape, activation) in layout.items():
+            end = offset + shape[0] * shape[1]
+            weight = buffer[offset:end].reshape(shape)
+            self._views[name] = weight if activation is None else AffineLayer._view(
+                weight, buffer[end : end + shape[1]], activation)
+        return self
+
+    def _like(self, buffer):
+        return ParamSet.__new__(ParamSet)._attach(self._layout, buffer)
 
     def __contains__(self, name):
-        return name in self._entries
+        return name in self._layout
 
     def __getitem__(self, name):
-        return self._entries[name]
+        return self._views[name]
 
-    def __setitem__(self, name, layer):
-        if not isinstance(layer, AffineLayer):
-            raise TypeError("ParamSet entries must be AffineLayer values")
-        self._entries[str(name)] = layer
+    def __setitem__(self, name, value):
+        entries = dict(self._views)
+        entries[str(name)] = value
+        rebuilt = ParamSet(entries)
+        self._attach(rebuilt._layout, rebuilt.buffer)
 
     def names(self):
-        return list(self._entries)
+        return list(self._layout)
 
     def items(self):
-        return list(self._entries.items())
+        return list(self._views.items())
 
     def layers(self, prefix=None):
-        """Layers in insertion order, optionally filtered by name prefix."""
-        if prefix is None:
-            return list(self._entries.values())
-        return [layer for name, layer in self._entries.items() if name.startswith(prefix)]
+        """Entries in insertion order, optionally filtered by name prefix."""
+        return [v for name, v in self._views.items() if prefix is None or name.startswith(prefix)]
 
     def subset(self, prefix):
-        return ParamSet(
-            (name, layer) for name, layer in self._entries.items() if name.startswith(prefix)
-        )
+        return ParamSet((name, v) for name, v in self._views.items() if name.startswith(prefix))
+
+    def assign(self, named_values):
+        """Copy values into named entries: (dweight, dbias) pairs as `backward`
+        returns them, or (matrix, None)."""
+        for name, (weight, bias) in named_values:
+            view = self._views[name]
+            if bias is None:
+                view[...] = weight
+            else:
+                view.weight[...] = weight
+                view.bias[...] = bias
 
     def copy(self):
-        return ParamSet((name, layer.copy()) for name, layer in self._entries.items())
+        return self._like(self.buffer.copy())
 
     def zeros_like(self):
-        return ParamSet(
-            (name, AffineLayer(np.zeros_like(l.weight), np.zeros_like(l.bias), l.activation))
-            for name, l in self._entries.items()
-        )
+        return self._like(np.zeros_like(self.buffer))
 
     @property
     def n_params(self):
-        return sum(l.weight.size + l.bias.size for l in self._entries.values())
+        return self.buffer.size
 
     def flatten(self):
-        if not self._entries:
-            return np.zeros(0)
-        return np.concatenate(
-            [np.concatenate([l.weight.ravel(), l.bias]) for l in self._entries.values()]
-        )
+        return self.buffer.copy()
 
     def unflatten(self, vec):
         """New ParamSet with the same names/shapes, values taken from vec."""
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)
         if vec.shape != (self.n_params,):
             raise ValueError(f"expected a flat vector of length {self.n_params}")
-        out = ParamSet()
-        pos = 0
-        for name, l in self._entries.items():
-            w = vec[pos : pos + l.weight.size].reshape(l.weight.shape)
-            pos += l.weight.size
-            b = vec[pos : pos + l.bias.size].copy()
-            pos += l.bias.size
-            out[name] = AffineLayer(w.copy(), b, l.activation)
-        return out
+        return self._like(vec)
 
     def to_payload(self):
+        if any(not isinstance(l, AffineLayer) for l in self._views.values()):
+            raise ValueError("checkpoints hold layers only, not bare matrix entries")
         return {
             "format": PARAMS_FORMAT,
             "version": PARAMS_VERSION,
@@ -192,22 +215,44 @@ class ParamSet:
                     "weight": l.weight.ravel().tolist(),
                     "bias": l.bias.tolist(),
                 }
-                for name, l in self._entries.items()
+                for name, l in self._views.items()
             ],
         }
 
     @classmethod
     def from_payload(cls, payload):
+        """Allocates the buffer once from the recorded shapes and writes the
+        values straight into it."""
         if payload.get("format") != PARAMS_FORMAT:
             raise ValueError("not a fairclust parameter checkpoint")
         if payload.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        out = cls()
+        layout, offset = {}, 0
         for rec in payload["layers"]:
-            n_in, n_out = rec["shape"]
-            weight = np.asarray(rec["weight"], dtype=float).reshape(n_in, n_out)
-            out[rec["name"]] = AffineLayer(weight, rec["bias"], rec["activation"])
+            (n_in, n_out), activation = rec["shape"], rec["activation"]
+            if activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {activation!r}")
+            layout[rec["name"]] = (offset, (n_in, n_out), activation)
+            offset += n_in * n_out + n_out
+        out = cls.__new__(cls)._attach(layout, np.empty(offset))
+        for rec in payload["layers"]:
+            layer = out[rec["name"]]
+            layer.weight.ravel()[:] = rec["weight"]
+            layer.bias[:] = rec["bias"]
+        if not np.all(np.isfinite(out.buffer)):
+            raise ValueError("layer parameters must be finite")
         return out
+
+
+def _entry_parts(value):
+    """Validated (weight, bias, activation) of a layer, or (matrix, None, None)."""
+    if isinstance(value, AffineLayer):
+        layer = AffineLayer(value.weight, value.bias, value.activation)
+        return layer.weight, layer.bias, layer.activation
+    matrix = np.asarray(value, dtype=float)
+    if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
+        raise ValueError("a matrix entry must be a finite 2-d array")
+    return matrix, None, None
 
 
 def save_params(params, path):
@@ -285,63 +330,52 @@ def backward(tape, upstream):
     return grads, g
 
 
-def grads_like(params, named):
-    """Gradient container aligned with params; missing names get zeros."""
-    out = ParamSet()
-    for name, layer in params.items():
-        if name in named:
-            dw, db = named[name]
-            dw = np.asarray(dw, dtype=float)
-            db = np.asarray(db, dtype=float)
-            if dw.shape != layer.weight.shape or db.shape != layer.bias.shape:
-                raise ValueError(f"gradient shape mismatch for entry {name!r}")
-        else:
-            dw, db = np.zeros_like(layer.weight), np.zeros_like(layer.bias)
-        out[name] = AffineLayer(dw, db, layer.activation)
-    return out
+def _squared_norm(entry):
+    if isinstance(entry, AffineLayer):
+        return float(np.sum(entry.weight**2) + np.sum(entry.bias**2))
+    return float(np.sum(entry**2))
 
 
 def clip_gradients(grads, max_norm):
-    """Rescale so the global gradient norm is at most max_norm. Bounds the
-    step size when a batch or a loss term spikes; 0 disables clipping."""
+    """Scale grads in place so the global gradient norm is at most max_norm;
+    returns grads. Bounds the step size when a batch or a loss term spikes;
+    0 disables clipping. The squared norm is summed entry by entry, in entry
+    order: that order is part of the float64 result, and one flat reduction
+    over the buffer rounds differently, which training amplifies.
+    """
     if max_norm <= 0:
         return grads
-    total = np.sqrt(sum(float(np.sum(g.weight**2) + np.sum(g.bias**2))
-                        for _, g in grads.items()))
-    if not np.isfinite(total) or total <= max_norm:
-        return grads
-    scale = max_norm / total
-    return ParamSet(
-        (name, AffineLayer(scale * g.weight, scale * g.bias, g.activation))
-        for name, g in grads.items()
-    )
+    total = np.sqrt(sum(_squared_norm(g) for _, g in grads.items()))
+    if np.isfinite(total) and total > max_norm:
+        grads.buffer *= max_norm / total
+    return grads
 
 
 def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
-    """Classic momentum update: v <- m*v + g; p <- p - lr*v.
+    """Classic momentum update, in place: v <- m*v + g; p <- p - lr*v.
 
-    Pure: returns (updated params, updated velocity). Raises on non-finite
-    gradients, the usual training divergence signal.
+    Updates params and velocity (made as zeros when None) in place and
+    returns (params, velocity); grads must share the layout of params.
+    Raises on non-finite gradients, the usual training divergence signal.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
+    if grads._layout is not params._layout and grads._layout != params._layout:
+        raise ValueError("gradient layout does not match the parameters")
+    g = grads.buffer
+    if not np.all(np.isfinite(g)):
+        first = int(np.argmin(np.isfinite(g)))
+        name = [n for n, (offset, _, _) in grads._layout.items() if offset <= first][-1]
+        raise RuntimeError(f"non-finite gradient for entry {name!r}")
     if velocity is None:
         velocity = params.zeros_like()
-    new_params, new_velocity = ParamSet(), ParamSet()
-    for name, layer in params.items():
-        g = grads[name]
-        if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
-            raise RuntimeError(f"non-finite gradient for entry {name!r}")
-        v = velocity[name]
-        vw = momentum * v.weight + g.weight
-        vb = momentum * v.bias + g.bias
-        new_velocity[name] = AffineLayer(vw, vb, layer.activation)
-        new_params[name] = AffineLayer(
-            layer.weight - lr * vw, layer.bias - lr * vb, layer.activation
-        )
-    return new_params, new_velocity
+    v = velocity.buffer
+    v *= momentum
+    v += g
+    params.buffer -= lr * v
+    return params, velocity
 
 
 def finite_diff_check(loss_and_grad, params, h=1e-4, sample=30, rng=None):

@@ -22,13 +22,12 @@ from fairclust.model import (
     TrainConfig,
     batch_centroids,
     compute_fairoids,
-    fair_assign,
     fair_objective,
     sharpen_target,
     smooth_target,
     soft_assign,
 )
-from fairclust.nn import AffineLayer, ParamSet, backward, finite_diff_check, forward, grads_like, squared_error, squared_error_grad
+from fairclust.nn import AffineLayer, ParamSet, backward, finite_diff_check, forward, squared_error, squared_error_grad
 
 
 @contextmanager
@@ -117,8 +116,10 @@ def test_criterion_1_gradient_correctness():
 
         def recon_loss(p):
             out, tape = forward(p.layers(), X)
-            grads, _ = backward(tape, squared_error_grad(out, X))
-            return squared_error(out, X), grads_like(p, dict(zip(p.names(), grads)))
+            layer_grads, _ = backward(tape, squared_error_grad(out, X))
+            grads = p.zeros_like()
+            grads.assign(zip(p.names(), layer_grads))
+            return squared_error(out, X), grads
 
         err_ae = finite_diff_check(recon_loss, ae, h=1e-5, sample=ae.n_params)
         assert err_ae <= 1e-4, f"autoencoder gradient error {err_ae:.2e}"
@@ -134,11 +135,11 @@ def test_criterion_1_gradient_correctness():
         params["enc1"] = AffineLayer(0.6 * rng.standard_normal((6, d)),
                                      0.1 * rng.standard_normal(d), "identity")
         M = rng.standard_normal((K, d))
-        params[CENTROIDS] = AffineLayer(M, np.zeros(d), "identity")
+        params[CENTROIDS] = M
         Z = encode(params, X)
         fairoids = compute_fairoids(Z, protected, T)
         P = sharpen_target(soft_assign(Z, M))
-        Psi = smooth_target(fair_assign(M, fairoids))
+        Psi = smooth_target(soft_assign(M, fairoids))
         cfg = TrainConfig(K=K, gamma=2.5, seed=0)
 
         def joint_loss(p):

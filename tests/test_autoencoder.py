@@ -154,3 +154,26 @@ class TestEncodeDecode:
         params = init_params((5, 4, 2), Rng(5).stream("init"))
         X = toy_data(25, 5, seed=11)
         np.testing.assert_array_equal(encode(params, X), encode(params, X))
+
+
+class TestCallerParamsUntouched:
+    # SGD updates its buffers in place; the stages must work on copies
+
+    def test_finetune_leaves_input_byte_identical(self):
+        X = toy_data(40, 4, seed=11)
+        params = init_params((4, 3, 2), Rng(5).stream("init"))
+        before = params.flatten().tobytes()
+        tuned, _ = finetune_global(X, params, epochs=3, lr=0.05, batch=16, rng=Rng(1))
+        assert params.flatten().tobytes() == before
+        assert tuned.flatten().tobytes() != before
+
+    def test_layerwise_result_survives_later_stages(self):
+        X = toy_data(40, 4, seed=12)
+        cfg = AeConfig(dims=(4, 3, 2), layerwise_epochs=3, global_epochs=0,
+                       batch=16, seed=3)
+        params, _ = pretrain_layerwise(X, cfg)
+        before = params.flatten().tobytes()
+        again, _ = pretrain_layerwise(X, cfg)
+        finetune_global(X, params, epochs=3, lr=0.05, batch=16, rng=Rng(2))
+        assert params.flatten().tobytes() == before
+        assert again.flatten().tobytes() == before

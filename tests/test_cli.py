@@ -95,6 +95,31 @@ class TestPretrain:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("command, axis", [("train", ()), ("sweep", ("--gamma-list", "0,1"))])
+    def test_empty_seed_list_is_usage_error(self, synth_dir, tmp_path, capsys, command, axis):
+        code = run_cli(command, "--data", synth_dir / "data.csv", "--latent", 2,
+                       "--k", 2, *axis, "--seeds", "", "--out", tmp_path)
+        assert code == 1
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_seeds_sharing_a_checkpoint_train_independently(self, synth_dir, tmp_path):
+        # every seed trains from the same loaded autoencoder; in-place SGD
+        # on it would make seed 2 depend on whether seed 1 ran first
+        pre = tmp_path / "pre"
+        assert run_cli("pretrain", "--data", synth_dir / "data.csv",
+                       "--normalize", "none", "--hidden", "8", "--latent", 2,
+                       "--layerwise-epochs", 2, "--global-epochs", 2, "--out", pre) == 0
+        ae_bytes = (pre / "ae.json").read_bytes()
+        for seeds in ("1,2", "2"):
+            assert run_cli("train", "--data", synth_dir / "data.csv",
+                           "--normalize", "none", "--pretrain", pre / "ae.json",
+                           "--k", 2, "--max-epochs", 4, "--batch", 128,
+                           "--recon-weight", 0.5, "--seeds", seeds,
+                           "--out", tmp_path / seeds) == 0
+        assert ((tmp_path / "1,2" / "seed_2" / "model.json").read_bytes()
+                == (tmp_path / "2" / "seed_2" / "model.json").read_bytes())
+        assert (pre / "ae.json").read_bytes() == ae_bytes
+
     def test_per_seed_artifacts_and_aggregate(self, trained_dir):
         for seed in (1, 2):
             seed_dir = trained_dir / f"seed_{seed}"

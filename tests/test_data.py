@@ -236,6 +236,19 @@ class TestExport:
         np.testing.assert_array_equal(back.protected, ds.protected)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_manifest_round_trip_keeps_column_order_past_ten_features(self, tmp_path):
+        # the manifest sorts its keys (f0, f1, f10, f11, f2, ...); loading
+        # must follow the CSV header instead
+        ds = synth_blobs(SynthSpec(n_points=30, dims=12, n_blobs=2, T=2,
+                                   correlation=0.8, seed=5))
+        csv_path = tmp_path / "wide.csv"
+        save_csv(ds, csv_path)
+        back = load_with_manifest(csv_path)
+        assert back.feature_names == tuple(f"f{j}" for j in range(12))
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.protected, ds.protected)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
     def test_manifest_required_when_schema_absent(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,g\n1,u\n2,v\n")

@@ -9,7 +9,6 @@ from fairclust.model import (
     TrainConfig,
     batch_centroids,
     compute_fairoids,
-    fair_assign,
     fair_objective,
     init_centroids,
     kl_loss,
@@ -107,19 +106,19 @@ class TestFairoids:
 class TestFairAssign:
     def test_equidistant_centroid_is_uniform(self):
         Pi = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        Phi = fair_assign(np.zeros((1, 2)), Pi)
+        Phi = soft_assign(np.zeros((1, 2)), Pi)
         np.testing.assert_allclose(Phi, 0.5)
 
     def test_unit_distance_values(self):
-        Phi = fair_assign(np.zeros((1, 1)), np.array([[0.0], [1.0]]))
+        Phi = soft_assign(np.zeros((1, 1)), np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(Phi[0], [2 / 3, 1 / 3])
 
     def test_swapping_fairoids_permutes_columns(self):
         rng = np.random.default_rng(2)
         M = rng.standard_normal((3, 2))
         Pi = rng.standard_normal((4, 2))
-        Phi = fair_assign(M, Pi)
-        swapped = fair_assign(M, Pi[[1, 0, 2, 3]])
+        Phi = soft_assign(M, Pi)
+        swapped = soft_assign(M, Pi[[1, 0, 2, 3]])
         np.testing.assert_allclose(swapped, Phi[:, [1, 0, 2, 3]])
 
     def test_uniform_row_iff_equidistant(self):
@@ -134,10 +133,10 @@ class TestFairAssign:
             return d[1:] - d[0]
 
         m_star = least_squares(gaps, center).x
-        row = fair_assign(m_star[None], Pi)[0]
+        row = soft_assign(m_star[None], Pi)[0]
         np.testing.assert_allclose(row, 1 / 3, atol=1e-8)
         # and a strictly non-equidistant centroid gives a non-uniform row
-        row2 = fair_assign((m_star + np.array([0.5, 0, 0, 0]))[None], Pi)[0]
+        row2 = soft_assign((m_star + np.array([0.5, 0, 0, 0]))[None], Pi)[0]
         assert np.abs(row2 - 1 / 3).max() > 1e-3
 
 
@@ -233,12 +232,12 @@ def tiny_setup(gamma=2.0, recon=0.0, seed=42):
     params["dec1"] = AffineLayer(0.6 * rng.standard_normal((6, D)),
                                  0.1 * rng.standard_normal(D), "identity")
     M = rng.standard_normal((K, d))
-    params[CENTROIDS] = AffineLayer(M, np.zeros(d), "identity")
+    params[CENTROIDS] = M
     Z = encode(params, X)
     Pi = compute_fairoids(Z, protected, T)
     Q = soft_assign(Z, M)
     P = sharpen_target(Q)
-    Psi = smooth_target(fair_assign(M, Pi))
+    Psi = smooth_target(soft_assign(M, Pi))
     cfg = TrainConfig(K=K, gamma=gamma, recon_weight=recon, seed=0)
     return params, X, P, Psi, Pi, cfg
 
@@ -267,12 +266,13 @@ class TestFairObjective:
         # sits at its minimum and every gradient vanishes
         params, X, _, _, Pi, cfg = tiny_setup(gamma=0.0)
         Z = encode(params, X)
-        Q = soft_assign(Z, params[CENTROIDS].weight)
-        Psi = soft_assign(params[CENTROIDS].weight, Pi)
+        Q = soft_assign(Z, params[CENTROIDS])
+        Psi = soft_assign(params[CENTROIDS], Pi)
         comps, grads = fair_objective(params, X, Q, Psi, Pi, cfg)
         assert comps["cluster"] == pytest.approx(0.0, abs=1e-12)
-        flat = np.concatenate([grads[n].weight.ravel() for n in grads.names()
-                               if n.startswith("enc") or n == CENTROIDS])
+        flat = np.concatenate([grads[CENTROIDS].ravel()]
+                              + [grads[n].weight.ravel() for n in grads.names()
+                                 if n.startswith("enc")])
         assert np.abs(flat).max() < 1e-8
 
     def test_translation_invariance(self):
@@ -282,7 +282,7 @@ class TestFairObjective:
         Pi = rng.standard_normal((2, 3))
         shift = rng.standard_normal(3)
         np.testing.assert_allclose(soft_assign(Z, M), soft_assign(Z + shift, M + shift))
-        np.testing.assert_allclose(fair_assign(M, Pi), fair_assign(M + shift, Pi + shift))
+        np.testing.assert_allclose(soft_assign(M, Pi), soft_assign(M + shift, Pi + shift))
         P = sharpen_target(soft_assign(Z, M))
         assert kl_loss(P, soft_assign(Z, M)) == pytest.approx(
             kl_loss(P, soft_assign(Z + shift, M + shift)))
@@ -362,7 +362,7 @@ class TestTrain:
         Z = encode(model.params, ds.features)
         Q = soft_assign(Z, model.centroids)
         P = sharpen_target(Q)
-        Phi = fair_assign(model.centroids, model.fairoids)
+        Phi = soft_assign(model.centroids, model.fairoids)
         Psi = smooth_target(Phi)
         for mat in (Q, P, Phi, Psi):
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
@@ -417,3 +417,68 @@ class TestInitCentroids:
         assert 0 < assign.sum() < 100
         gap = np.sqrt(((M[0] - M[1]) ** 2).sum())
         assert gap > 5.0
+
+
+def tiny_run(recon_weight=0.0, max_epochs=3):
+    spec = fc.SynthSpec(n_points=120, dims=4, n_blobs=2, T=2, correlation=0.9,
+                        blob_spread=0.1, seed=1)
+    ds = fc.synth_blobs(spec)
+    ae, _ = fc.pretrain(ds.features, fc.AeConfig(dims=(4, 6, 2), layerwise_epochs=3,
+                                                 global_epochs=3, batch=32, seed=0))
+    cfg = TrainConfig(K=2, gamma=1.0, recon_weight=recon_weight, max_epochs=max_epochs,
+                      convergence_tol=0.0, batch=32, seed=0)
+    return ds, ae, cfg
+
+
+class TestTrainingState:
+    def test_caller_params_stay_byte_identical(self):
+        ds, ae, cfg = tiny_run(recon_weight=0.5)
+        before = ae.flatten().tobytes()
+        train(ds, ae, cfg)
+        assert ae.flatten().tobytes() == before
+
+    def test_decoder_passes_through_without_reconstruction_term(self):
+        ds, ae, cfg = tiny_run(recon_weight=0.0)
+        model = train(ds, ae, cfg)
+        assert model.params.names() == ae.names()
+        for name in ("dec0", "dec1"):
+            np.testing.assert_array_equal(model.params[name].weight, ae[name].weight)
+            np.testing.assert_array_equal(model.params[name].bias, ae[name].bias)
+        assert not np.array_equal(model.params["enc0"].weight, ae["enc0"].weight)
+
+    def test_decoder_trains_with_reconstruction_term(self):
+        ds, ae, cfg = tiny_run(recon_weight=0.5)
+        model = train(ds, ae, cfg)
+        assert not np.array_equal(model.params["dec1"].weight, ae["dec1"].weight)
+
+    def test_identical_runs_give_identical_parameter_hex(self):
+        runs = []
+        for _ in range(2):
+            ds, ae, cfg = tiny_run(recon_weight=0.5)
+            model = train(ds, ae, cfg)
+            runs.append([float(v).hex() for v in
+                         np.concatenate([model.params.flatten(), model.centroids.ravel()])])
+        assert runs[0] == runs[1]
+
+    def test_failure_reports_the_real_cause(self, monkeypatch):
+        import fairclust.model as model_module
+
+        ds, ae, cfg = tiny_run()
+        real = model_module.fair_objective
+        losses = []
+
+        def fails_on_fourth_batch(*args):
+            if len(losses) == 3:
+                raise ValueError("boom")
+            components, grads = real(*args)
+            losses.append(components["loss"])
+            return components, grads
+
+        monkeypatch.setattr(model_module, "fair_objective", fails_on_fourth_batch)
+        with pytest.raises(RuntimeError) as info:
+            train(ds, ae, cfg)
+        message = str(info.value)
+        assert "epoch 0, batch 3" in message and message.endswith(": boom")
+        assert f"last finite mean loss {sum(losses) / 3}" in message
+        assert "non-finite" not in message
+        assert isinstance(info.value.__cause__, ValueError)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairclust.nn import (
     AffineLayer,
@@ -9,7 +11,6 @@ from fairclust.nn import (
     clip_gradients,
     finite_diff_check,
     forward,
-    grads_like,
     init_layer,
     load_params,
     save_params,
@@ -117,7 +118,9 @@ class TestBackward:
 
         out, tape = forward(params.layers(), x)
         layer_grads, _ = backward(tape, squared_error_grad(out, target))
-        analytic = grads_like(params, dict(zip(params.names(), layer_grads))).flatten()
+        grads = params.zeros_like()
+        grads.assign(zip(params.names(), layer_grads))
+        analytic = grads.flatten()
         flat = params.flatten()
         h = 1e-5
         worst = 0.0
@@ -159,18 +162,23 @@ class TestSgdStep:
 
     def test_non_finite_gradient_raises(self):
         params = self.one_param(1.0)
-        grads = ParamSet({"p": AffineLayer.__new__(AffineLayer)})
-        bad = AffineLayer(np.array([[1.0]]), np.zeros(1), "identity")
-        bad.weight = np.array([[np.nan]])
-        grads = ParamSet({"p": bad})
-        with pytest.raises(RuntimeError, match="non-finite"):
+        grads = params.zeros_like()
+        grads["p"].weight[0, 0] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite gradient for entry 'p'"):
             sgd_step(params, grads, lr=0.1)
+        assert params["p"].weight[0, 0] == 1.0
 
     def test_clip_rescales_large_gradients(self):
         grads = self.one_param(30.0)
         clipped = clip_gradients(grads, 3.0)
         assert clipped["p"].weight[0, 0] == pytest.approx(3.0)
         assert clip_gradients(grads, 0.0) is grads
+
+    def test_mismatched_gradient_layout_rejected(self):
+        params = self.one_param(1.0)
+        grads = ParamSet({"q": AffineLayer(np.array([[1.0]]), np.zeros(1), "identity")})
+        with pytest.raises(ValueError, match="layout"):
+            sgd_step(params, grads, lr=0.1)
 
 
 class TestFiniteDiffCheck:
@@ -243,11 +251,55 @@ class TestParamSet:
         assert len(params.layers("enc")) == 2
         assert params.subset("dec").names() == ["dec0", "dec1"]
 
-    def test_grads_like_fills_missing_with_zeros(self):
+    def test_assign_leaves_unwritten_entries_zero(self):
         params = random_params(np.random.default_rng(12), dims=(3, 3, 3))
-        grads = grads_like(params, {"layer0": (np.ones((3, 3)), np.ones(3))})
+        grads = params.zeros_like()
+        grads.assign([("layer0", (np.ones((3, 3)), np.ones(3)))])
         assert grads["layer0"].weight.sum() == 9
         assert grads["layer1"].weight.sum() == 0
+        assert grads["layer1"].bias.sum() == 0
+
+    def test_layers_are_views_into_one_buffer(self):
+        params = random_params(np.random.default_rng(13), dims=(3, 4, 2))
+        params["layer1"].bias[0] = 7.5
+        assert params.flatten()[3 * 4 + 4 + 4 * 2] == 7.5
+        params.buffer[0] = -1.0
+        assert params["layer0"].weight[0, 0] == -1.0
+
+    def test_copy_and_zeros_like_own_their_buffers(self):
+        params = random_params(np.random.default_rng(14), dims=(3, 2))
+        copy, zeros = params.copy(), params.zeros_like()
+        params.buffer += 1.0
+        assert not np.shares_memory(copy.buffer, params.buffer)
+        np.testing.assert_array_equal(copy.buffer + 1.0, params.buffer)
+        assert zeros.names() == params.names() and not zeros.buffer.any()
+
+    def test_matrix_entry_has_no_bias(self):
+        params = random_params(np.random.default_rng(15), dims=(3, 2))
+        M = np.arange(6.0).reshape(3, 2)
+        params["centroids"] = M
+        assert params.n_params == 3 * 2 + 2 + 6
+        np.testing.assert_array_equal(params["centroids"], M)
+        np.testing.assert_array_equal(params.flatten()[-6:], M.ravel())
+        with pytest.raises(ValueError, match="bare matrix"):
+            params.to_payload()
+
+    def test_replacing_an_entry_keeps_its_position(self):
+        params = random_params(np.random.default_rng(16), dims=(3, 2, 2))
+        before = params.flatten()
+        params["layer0"] = AffineLayer(np.ones((3, 2)), np.zeros(2), "relu")
+        assert params.names() == ["layer0", "layer1"]
+        assert params["layer0"].activation == "relu"
+        np.testing.assert_array_equal(params.flatten()[:8], [1.0] * 6 + [0.0] * 2)
+        np.testing.assert_array_equal(params.flatten()[8:], before[8:])
+
+    def test_insertion_validates_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            ParamSet({"m": np.array([[np.inf]])})
+        with pytest.raises(ValueError, match="2-d"):
+            ParamSet({"m": np.zeros(3)})
+        with pytest.raises(ValueError, match="duplicate"):
+            ParamSet([("a", np.zeros((1, 1))), ("a", np.zeros((1, 1)))])
 
     def test_layer_shape_validation(self):
         with pytest.raises(ValueError):
@@ -283,3 +335,85 @@ class TestRng:
         wide = init_layer(400, 10, "identity", rng)
         assert wide.weight.std() == pytest.approx(1 / np.sqrt(400), rel=0.15)
         assert np.all(wide.bias == 0)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+
+
+@st.composite
+def param_sets(draw):
+    """A ParamSet of 1-3 layers with random widths and an optional matrix."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    entries = []
+    for i in range(len(widths) - 1):
+        n_in, n_out = widths[i], widths[i + 1]
+        values = draw(st.lists(finite, min_size=n_in * n_out + n_out,
+                               max_size=n_in * n_out + n_out))
+        act = draw(st.sampled_from(["identity", "relu"]))
+        entries.append((f"layer{i}", AffineLayer(np.reshape(values[: n_in * n_out], (n_in, n_out)),
+                                                 values[n_in * n_out:], act)))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 3))
+        values = draw(st.lists(finite, min_size=rows * widths[-1], max_size=rows * widths[-1]))
+        entries.append(("centroids", np.reshape(values, (rows, widths[-1]))))
+    return ParamSet(entries)
+
+
+def same_layers(a, b):
+    return a.names() == b.names() and all(
+        isinstance(x, AffineLayer) == isinstance(y, AffineLayer) and (
+            x.activation == y.activation and x.weight.tobytes() == y.weight.tobytes()
+            and x.bias.tobytes() == y.bias.tobytes()
+            if isinstance(x, AffineLayer) else x.tobytes() == y.tobytes())
+        for (_, x), (_, y) in zip(a.items(), b.items()))
+
+
+class TestProperties:
+    @given(param_sets())
+    def test_flatten_unflatten_round_trip_is_exact(self, params):
+        rebuilt = params.unflatten(params.flatten())
+        assert same_layers(rebuilt, params)
+        assert not np.shares_memory(rebuilt.buffer, params.buffer)
+
+    @settings(max_examples=30)
+    @given(param_sets())
+    def test_save_load_round_trip_is_exact(self, tmp_path_factory, params):
+        layers = ParamSet((n, v) for n, v in params.items() if isinstance(v, AffineLayer))
+        path = tmp_path_factory.mktemp("params") / "params.json"
+        save_params(layers, path)
+        assert same_layers(load_params(path), layers)
+
+    @given(param_sets(), st.floats(1e-3, 1e3))
+    def test_clipped_norm_is_at_most_max_norm(self, grads, max_norm):
+        before = np.linalg.norm(grads.flatten())
+        clipped = clip_gradients(grads, max_norm)
+        assert clipped is grads
+        after = np.linalg.norm(grads.flatten())
+        # the rescaled norm may exceed max_norm by rounding only
+        assert after <= max_norm * (1 + 1e-12)
+        if before <= max_norm:
+            assert after == before
+
+    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.data())
+    def test_sgd_step_is_the_momentum_update(self, params, lr, momentum, data):
+        n = params.n_params
+        vectors = st.lists(finite, min_size=n, max_size=n)
+        g, v = np.array(data.draw(vectors)), np.array(data.draw(vectors))
+        p = params.flatten()
+        velocity = params.unflatten(v)
+        updated, new_velocity = sgd_step(params, params.unflatten(g), lr, momentum, velocity)
+        assert updated is params and new_velocity is velocity
+        np.testing.assert_array_equal(velocity.buffer, momentum * v + g)
+        np.testing.assert_array_equal(params.buffer, p - lr * (momentum * v + g))
+
+    @given(st.integers(1, 6), st.floats(0.0, 0.95))
+    def test_momentum_with_constant_gradient_has_closed_form(self, steps, momentum):
+        params = ParamSet({"w": np.zeros((1, 1))})
+        grads = ParamSet({"w": np.ones((1, 1))})
+        velocity = None
+        for _ in range(steps):
+            params, velocity = sgd_step(params, grads, 0.1, momentum, velocity)
+        # v_k = (1 - m^k) / (1 - m);  p_k = -lr * sum_{j<=k} v_j
+        v = [(1 - momentum**j) / (1 - momentum) for j in range(1, steps + 1)]
+        assert velocity.buffer[0] == pytest.approx(v[-1], rel=1e-12)
+        assert params.buffer[0] == pytest.approx(-0.1 * sum(v), rel=1e-12)
