@@ -15,6 +15,7 @@ import numpy as np
 from .nn import (
     ParamSet,
     Rng,
+    apply,
     backward,
     clip_gradients,
     forward,
@@ -70,23 +71,16 @@ def init_params(dims, rng_stream, std=None):
 
 def encode(params, X):
     """Deterministic bottleneck representation, never corrupted."""
-    z, _ = forward(params.layers("enc"), X)
-    return z
+    return apply(params.layers("enc"), X)
 
 
 def decode(params, Z):
-    out, _ = forward(params.layers("dec"), Z)
-    return out
+    return apply(params.layers("dec"), Z)
 
 
 def reconstruction_squared_error(params, X):
-    out, _ = forward(params.layers(), np.asarray(X, dtype=float))
-    return squared_error(out, X)
-
-
-def _minibatches(n, batch, order):
-    for start in range(0, n, batch):
-        yield order[start : start + batch]
+    X = np.asarray(X, dtype=float)
+    return squared_error(apply(params.layers(), X), X)
 
 
 def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
@@ -98,15 +92,14 @@ def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
     names, layers = params.names(), params.layers()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            for idx in _minibatches(len(X), batch, order):
-                xb = X[idx]
+            for start in range(0, len(X), batch):
+                xb = X[order[start : start + batch]]
                 out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
                 layer_grads, _ = backward(tape, squared_error_grad(out, xb))
                 grads = params.zeros_like()
                 grads.assign(zip(names, layer_grads))
                 sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity)
-            out, _ = forward(layers, X)
-            loss = squared_error(out, X)
+            loss = squared_error(apply(layers, X), X)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             return params, velocity, np.inf
     return params, velocity, loss if np.isfinite(loss) else np.inf
@@ -126,8 +119,7 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
     velocity = params.zeros_like()
     shuffle = rng.stream("shuffle")
     noise_stream = rng.stream("dropout") if dropout else None
-    out, _ = forward(params.layers(), X)
-    prev = squared_error(out, X)
+    prev = squared_error(apply(params.layers(), X), X)
     history = [(0, prev, lr)]
     for epoch in range(1, epochs + 1):
         order = shuffle.permutation(len(X))
@@ -168,7 +160,7 @@ def pretrain_layerwise(X, cfg, rng=None):
         trained.update(pair.items())
         log += [{"stage": "layerwise", "layer": i, "epoch": epoch, "loss": loss}
                 for epoch, loss, _ in history[1:]]
-        h, _ = forward([pair[enc_name]], h)
+        h = apply([pair[enc_name]], h)
     return ParamSet((name, trained[name]) for name in init.names()), log
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autoencoder, data, metrics, model
+from . import autoencoder, clustering, data, metrics, model
 from .nn import load_params, save_params
 
 SCHEMA_VERSION = 1
@@ -92,7 +92,7 @@ TRAIN_OPTS = {
     "convergence_tol": (float, 0.001, "stop when fewer assignments change"),
     "recon_weight": (float, 0.0, "reconstruction term weight"),
     "clip_norm": (float, 5.0, "global gradient norm cap (0 disables)"),
-    "refresh": (str, "incore", "target refresh mode: incore or streaming"),
+    "refresh": (str, "incore", "fairness-target centroids: incore (live) or streaming (estimated)"),
     "refresh_interval": (int, 1, "epochs between target refreshes (0 freezes)"),
     "seeds": (_int_list, [0], "training seeds"),
 }
@@ -391,12 +391,12 @@ def cmd_eval(opts):
         artifacts.append(hist_path.name)
         if opts["dump_latent"]:
             Z = autoencoder.encode(trained.params, ds.features)
+            assignments = clustering.nearest_assign(Z, trained.centroids)
             latent_path = out / "latent.csv"
             with latent_path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow([f"z{j}" for j in range(Z.shape[1])]
                                 + ["assignment", "protected"])
-                assignments = model.predict(trained, ds.features)
                 for i in range(len(Z)):
                     writer.writerow([repr(float(v)) for v in Z[i]]
                                     + [int(assignments[i]), int(ds.protected[i])])

@@ -22,7 +22,7 @@ from scipy.special import rel_entr
 
 from . import metrics
 from .autoencoder import encode
-from .clustering import kmeans_pp_init, lloyd, squared_distances
+from .clustering import kmeans_pp_init, lloyd, nearest_assign, squared_distances
 from .nn import (
     ParamSet,
     Rng,
@@ -231,51 +231,27 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
     return components, grads
 
 
-def _epoch_pass_incore(params, X, protected, T, M, cfg, refresh):
+def _epoch_pass(params, X, protected, T, cfg, refresh):
+    """Encode X once; return (Q, fairoids, Phi), the last two None unless
+    refresh. Phi's centroids are the live ones ("incore") or ("streaming")
+    per-batch least-squares solves over slices of Z, weighted by per-cluster
+    batch mass so that clusters absent from a batch contribute nothing."""
+    M = params[CENTROIDS]
     Z = encode(params, X)
     Q = soft_assign(Z, M, cfg.dof)
     if not refresh:
         return Q, None, None
     fairoids = compute_fairoids(Z, protected, T)
-    Phi = soft_assign(M, fairoids, cfg.dof)
-    return Q, fairoids, Phi
-
-
-def _epoch_pass_streaming(params, X, protected, T, M, cfg, refresh):
-    """Out-of-core pass: batched encodes that never hold the full latent
-    matrix. On refresh epochs the fairoids come from running group sums
-    and the centroids behind the fairness target are re-estimated from
-    per-batch least-squares solves, weighted by per-cluster batch mass so
-    clusters absent from a batch contribute nothing."""
-    n = len(X)
-    K, d = M.shape
-    Q = np.empty((n, K))
-    sums = np.zeros((T, d))
-    counts = np.zeros(T)
-    for start in range(0, n, cfg.batch):
-        sl = slice(start, start + cfg.batch)
-        Zb = encode(params, X[sl])
-        Q[sl] = soft_assign(Zb, M, cfg.dof)
-        if refresh:
-            np.add.at(sums, protected[sl], Zb)
-            counts += np.bincount(protected[sl], minlength=T)
-    if not refresh:
-        return Q, None, None
-    if (counts == 0).any():
-        raise ValueError("empty protected state during refresh")
-    fairoids = sums / counts[:, None]
-    P = sharpen_target(Q)
-    est = np.zeros((K, d))
-    mass = np.zeros(K)
-    for start in range(0, n, cfg.batch):
-        sl = slice(start, start + cfg.batch)
-        Zb = encode(params, X[sl])
-        batch_mass = P[sl].sum(axis=0)
-        est += batch_mass[:, None] * batch_centroids(P[sl], Zb)
-        mass += batch_mass
-    M_est = est / np.maximum(mass, 1e-12)[:, None]
-    Phi = soft_assign(M_est, fairoids, cfg.dof)
-    return Q, fairoids, Phi
+    if cfg.refresh == "streaming":
+        P = sharpen_target(Q)
+        est, mass = np.zeros_like(M), np.zeros(len(M))
+        for start in range(0, len(Z), cfg.batch):
+            sl = slice(start, start + cfg.batch)
+            batch_mass = P[sl].sum(axis=0)
+            est += batch_mass[:, None] * batch_centroids(P[sl], Z[sl])
+            mass += batch_mass
+        M = est / np.maximum(mass, 1e-12)[:, None]
+    return Q, fairoids, soft_assign(M, fairoids, cfg.dof)
 
 
 def init_centroids(Z, K, rng, n_init=10):
@@ -303,15 +279,18 @@ def train(ds, ae_params, cfg):
     """Joint training of the encoder, cluster centroids, and the fairness
     objective by minibatch momentum SGD.
 
-    Every refresh_interval epochs the fairoids and the self-training
-    targets P and Psi are recomputed from full-data encodings (interval 0
-    freezes the initialization targets). Each epoch checks convergence
-    (fraction of hard assignments changed below convergence_tol), then
-    sweeps shuffled minibatches of the combined objective. Fairoids stay
-    constant between refreshes and receive no gradient; the centroids ride
-    in the parameter set and are updated by the same optimizer as the
-    network. The decoder is trained only when recon_weight > 0; otherwise
-    it is returned as ae_params holds it. ae_params is never modified.
+    Each epoch encodes the full data once, without a tape. Every
+    refresh_interval epochs the fairoids and the targets P and Psi are
+    recomputed from that encoding (interval 0 freezes the initial targets);
+    cfg.refresh only chooses the centroids behind Psi: the live ones
+    ("incore") or a minibatch least-squares estimate ("streaming"). Each
+    epoch checks convergence (fraction of hard assignments changed below
+    convergence_tol), then sweeps shuffled minibatches of the combined
+    objective. Fairoids stay constant between refreshes and receive no
+    gradient; the centroids ride in the parameter set and are updated by
+    the same optimizer as the network. The decoder is trained only when
+    recon_weight > 0; otherwise it is returned as ae_params holds it.
+    ae_params is never modified.
     """
     X = ds.features
     N = len(X)
@@ -329,7 +308,6 @@ def train(ds, ae_params, cfg):
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()
                          if name.startswith(prefixes)), (CENTROIDS, M0)])
     velocity = params.zeros_like()
-    epoch_pass = _epoch_pass_incore if cfg.refresh == "incore" else _epoch_pass_streaming
 
     shuffle = rng.stream("shuffle")
     history = []
@@ -338,8 +316,7 @@ def train(ds, ae_params, cfg):
     for epoch in range(cfg.max_epochs):
         do_refresh = P is None or (cfg.refresh_interval > 0
                                    and epoch % cfg.refresh_interval == 0)
-        Q, new_fairoids, Phi = epoch_pass(params, X, ds.protected, ds.T, params[CENTROIDS],
-                                          cfg, do_refresh)
+        Q, new_fairoids, Phi = _epoch_pass(params, X, ds.protected, ds.T, cfg, do_refresh)
         if do_refresh:
             fairoids = new_fairoids
             P = sharpen_target(Q)
@@ -396,11 +373,9 @@ def _epoch_metrics(hard, ds, K):
 
 
 def predict(model, X):
-    """Hard assignments for new data: nearest centroid under the soft
-    assignment kernel, ties to the lowest index."""
-    Z = encode(model.params, np.asarray(X, dtype=float))
-    Q = soft_assign(Z, model.centroids, model.config.dof)
-    return np.argmax(Q, axis=1)
+    """Hard assignments for new data: the nearest centroid in latent space
+    (the t-kernel is monotone), ties to the lowest index."""
+    return nearest_assign(encode(model.params, X), model.centroids)
 
 
 def save_model(model, path):

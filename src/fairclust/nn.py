@@ -3,10 +3,11 @@ named deterministic random streams, and a finite-difference gradient checker.
 
 Tensors are plain float64 numpy arrays in row-major order; a data matrix is
 (n_rows, n_features). A ParamSet keeps all of its entries in one contiguous
-buffer, and its layers are views into that buffer. `forward` and `backward`
-return new arrays and leave their inputs alone; `clip_gradients` and
-`sgd_step` update the ParamSets they are given in place, so copy a set
-before training it when the original must survive.
+buffer, and its layers are views into that buffer. `forward` keeps a tape
+for `backward`; `apply`, for inference, keeps none and runs in row chunks.
+Both, and `backward`, return new arrays and leave their inputs alone;
+`clip_gradients` and `sgd_step` update the ParamSets they are given in
+place, so copy a set before training it when the original must survive.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ ACTIVATIONS = ("identity", "relu")
 
 PARAMS_FORMAT = "fairclust-params"
 PARAMS_VERSION = 1
+
+# Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
+# 66 MB whatever the row count.
+APPLY_ROWS = 4096
 
 
 class Rng:
@@ -272,6 +277,23 @@ class Tape:
     input_mask: np.ndarray | None = None
 
 
+def _matrix(x):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("input must be a 2-d matrix")
+    return x
+
+
+def _layer_step(i, layer, h):
+    """(pre-activation, output) of layer i on input h."""
+    if h.shape[1] != layer.n_in:
+        raise ValueError(
+            f"layer {i}: input width {h.shape[1]} does not match weight rows {layer.n_in}"
+        )
+    pre = h @ layer.weight + layer.bias
+    return pre, np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+
+
 def forward(layers, x, noise=0.0, rng=None):
     """Run x through the layer stack, returning (output, tape).
 
@@ -280,9 +302,7 @@ def forward(layers, x, noise=0.0, rng=None):
     scaled by 1/(1-noise), so evaluation needs no rescaling. Corruption is
     only applied when a rate is passed (training mode).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("input must be a 2-d matrix")
+    x = _matrix(x)
     mask = None
     if noise:
         if not 0.0 < noise < 1.0:
@@ -294,14 +314,24 @@ def forward(layers, x, noise=0.0, rng=None):
     steps = []
     h = x
     for i, layer in enumerate(layers):
-        if h.shape[1] != layer.n_in:
-            raise ValueError(
-                f"layer {i}: input width {h.shape[1]} does not match weight rows {layer.n_in}"
-            )
-        pre = h @ layer.weight + layer.bias
+        pre, out = _layer_step(i, layer, h)
         steps.append((h, pre))
-        h = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        h = out
     return h, Tape(layers=list(layers), steps=steps, input_mask=mask)
+
+
+def apply(layers, x):
+    """The stack's output on x with no tape and no corruption, computed
+    APPLY_ROWS rows at a time. Up to APPLY_ROWS rows it equals
+    `forward(layers, x)[0]` bit for bit; above, each chunk is its own GEMM,
+    whose float64 rounding can differ in the last bits (about 1e-15)."""
+    x, chunks = _matrix(x), []
+    for start in range(0, max(len(x), 1), APPLY_ROWS):
+        h = x[start : start + APPLY_ROWS]
+        for i, layer in enumerate(layers):
+            _, h = _layer_step(i, layer, h)
+        chunks.append(h)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def backward(tape, upstream):

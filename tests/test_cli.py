@@ -181,6 +181,11 @@ class TestEval:
         lines = (tmp_path / "latent.csv").read_text().strip().splitlines()
         assert lines[0] == "z0,z1,assignment,protected"
         assert len(lines) == 301
+        # the dump's assignments are the ones the report counted
+        assignments = [int(line.split(",")[2]) for line in lines[1:]]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [assignments.count(entry["cluster"]) for entry in report["per_cluster"]] \
+            == [entry["size"] for entry in report["per_cluster"]]
 
     def test_state_count_mismatch_names_both(self, trained_dir, tmp_path, capsys):
         other = tmp_path / "other"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fairclust.clustering import nearest_assign
 from fairclust.model import (
     CENTROIDS,
     TrainConfig,
+    _epoch_pass,
     batch_centroids,
     compute_fairoids,
     fair_objective,
@@ -368,12 +371,48 @@ class TestTrain:
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
 
+class TestEpochPass:
+    def test_modes_share_q_and_fairoids_and_differ_only_in_phi(self):
+        params, X, _, _, _, cfg = tiny_setup()
+        protected, T = np.arange(len(X)) % 2, 2
+        Z, M = encode(params, X), params[CENTROIDS]
+        incore = _epoch_pass(params, X, protected, T, replace(cfg, batch=5), True)
+        streaming = _epoch_pass(params, X, protected, T,
+                                replace(cfg, batch=5, refresh="streaming"), True)
+        for Q, fairoids, _ in (incore, streaming):
+            np.testing.assert_array_equal(Q, soft_assign(Z, M))
+            np.testing.assert_array_equal(fairoids, compute_fairoids(Z, protected, T))
+        np.testing.assert_array_equal(incore[2], soft_assign(M, incore[1]))
+        assert not np.allclose(streaming[2], incore[2])
+        # one batch over all rows: the estimate is the least-squares solve on all of Z
+        whole = _epoch_pass(params, X, protected, T,
+                            replace(cfg, batch=len(X), refresh="streaming"), True)
+        M_est = batch_centroids(sharpen_target(whole[0]), Z)
+        np.testing.assert_allclose(whole[2], soft_assign(M_est, whole[1]), rtol=0, atol=1e-12)
+        for mode in ("incore", "streaming"):
+            Q, fairoids, Phi = _epoch_pass(params, X, protected, T,
+                                           replace(cfg, refresh=mode), False)
+            np.testing.assert_array_equal(Q, incore[0])
+            assert fairoids is None and Phi is None
+
+    @pytest.mark.parametrize("refresh", ["incore", "streaming"])
+    def test_empty_protected_state_is_named_in_both_modes(self, refresh):
+        spec = fc.SynthSpec(n_points=60, dims=4, n_blobs=2, T=2, correlation=0.9, seed=0)
+        two = fc.synth_blobs(spec)
+        ds = fc.Dataset(two.features, two.protected, labels=two.labels, T=3)
+        ae = init_params((4, 3, 2), Rng(0).stream("init"))
+        with pytest.raises(ValueError, match="protected state 2 has no members"):
+            train(ds, ae, TrainConfig(K=2, refresh=refresh, max_epochs=1, seed=0))
+
+
 class TestPredict:
     def test_matches_training_assignments(self):
         ds, model = small_blobs(gamma=0.0, seed=7)
         Z = encode(model.params, ds.features)
         expected = soft_assign(Z, model.centroids).argmax(axis=1)
         np.testing.assert_array_equal(predict(model, ds.features), expected)
+        np.testing.assert_array_equal(predict(model, ds.features),
+                                      nearest_assign(Z, model.centroids))
 
     def test_ties_take_lowest_index(self):
         ds, model = small_blobs(gamma=0.0, seed=8)

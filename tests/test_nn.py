@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairclust import nn
+from fairclust.autoencoder import encode, init_params
 from fairclust.nn import (
+    APPLY_ROWS,
     AffineLayer,
     ParamSet,
     Rng,
+    apply,
     backward,
     clip_gradients,
     finite_diff_check,
@@ -73,6 +79,8 @@ class TestForward:
         ]
         with pytest.raises(ValueError, match="layer 1"):
             forward(layers, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="layer 1"):
+            apply(layers, np.zeros((2, 3)))
 
     def test_forward_deterministic_given_seed(self):
         layer = AffineLayer(np.eye(50), np.zeros(50), "identity")
@@ -80,6 +88,41 @@ class TestForward:
         out1, _ = forward([layer], x, noise=0.3, rng=Rng(9).stream("dropout"))
         out2, _ = forward([layer], x, noise=0.3, rng=Rng(9).stream("dropout"))
         np.testing.assert_array_equal(out1, out2)
+
+
+class TestApply:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 24), min_size=2, max_size=5),
+           st.lists(st.sampled_from(["identity", "relu"]), min_size=4, max_size=4),
+           st.integers(0, APPLY_ROWS), st.integers(0, 2**32 - 1))
+    def test_equals_forward_bit_for_bit_up_to_apply_rows(self, widths, acts, rows, seed):
+        rng = np.random.default_rng(seed)
+        layers = [AffineLayer(rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out),
+                              act)
+                  for n_in, n_out, act in zip(widths, widths[1:], acts)]
+        x = rng.standard_normal((rows, widths[0]))
+        out = apply(layers, x)
+        assert out.tobytes() == forward(layers, x)[0].tobytes()
+        assert out.shape == (rows, widths[-1])
+
+    def test_chunked_output_agrees_and_keeps_no_tape(self, monkeypatch):
+        params = init_params((16, 256, 256, 2), Rng(0).stream("init"))
+        x = np.random.default_rng(1).random((1000, 16))
+        taped, _ = forward(params.layers("enc"), x)
+        monkeypatch.setattr(nn, "APPLY_ROWS", 7)
+        np.testing.assert_allclose(encode(params, x), taped, rtol=0, atol=1e-12)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the tape alone holds 4 activations of 1000 x 256 float64 (8 MB)
+        assert peak(lambda: encode(params, x)) < peak(
+            lambda: forward(params.layers("enc"), x)) / 10
 
 
 class TestBackward:
