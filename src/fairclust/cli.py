@@ -223,11 +223,8 @@ def _load_dataset(opts):
         ds = data.load_csv(path, schema)
     else:
         ds = data.load_with_manifest(path)
-    mode = opts["normalize"]
-    if mode not in ("minmax", "zscore", "none"):
-        raise CliError(f"unknown normalization mode {mode!r}")
-    if mode != "none":
-        ds = data.normalize(ds, mode)
+    if opts["normalize"] != "none":
+        ds = data.normalize(ds, opts["normalize"])
     return ds
 
 
@@ -380,7 +377,10 @@ def cmd_eval(opts):
     expected = trained.params.layers("enc")[0].n_in
     if expected != ds.d:
         raise ValueError(f"feature mismatch: model D={expected}, dataset D={ds.d}")
-    rep = metrics.report(trained, ds)
+    Z = autoencoder.encode(trained.params, ds.features)
+    assignments = clustering.nearest_assign(Z, trained.centroids)
+    rep = metrics.report_from_assignments(assignments, ds.protected, ds.T,
+                                          trained.centroids.shape[0], labels=ds.labels)
     sys.stdout.write(rep.to_json())
     if opts["out"]:
         out = Path(opts["out"])
@@ -390,8 +390,6 @@ def cmd_eval(opts):
         hist_path = metrics.histograms_to_csv(rep, out / "histograms.csv")
         artifacts.append(hist_path.name)
         if opts["dump_latent"]:
-            Z = autoencoder.encode(trained.params, ds.features)
-            assignments = clustering.nearest_assign(Z, trained.centroids)
             latent_path = out / "latent.csv"
             with latent_path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -478,6 +476,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         opts = resolve(args, args.command)
+        if opts.get("normalize", "none") not in ("minmax", "zscore", "none"):
+            raise CliError(f"unknown normalization mode {opts['normalize']!r}")
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -146,17 +146,14 @@ def kl_loss(target, model_probs):
     return float(rel_entr(target, model_probs).sum())
 
 
-def batch_centroids(P, Z, ridge=0.0):
+def batch_centroids(P, Z):
     """Least-squares centroid estimate from soft assignments: solves
-    (P^T P + ridge I) M = P^T Z. With one-hot P and ridge 0 this is exactly
-    the per-cluster batch mean. A singular system is retried once with
-    ridge 1e-6."""
+    (P^T P) M = P^T Z. With one-hot P this is exactly the per-cluster batch
+    mean. A singular system is retried once with ridge 1e-6."""
     P = np.asarray(P, dtype=float)
     Z = np.asarray(Z, dtype=float)
     gram = P.T @ P
     moment = P.T @ Z
-    if ridge:
-        gram = gram + ridge * np.eye(len(gram))
     try:
         M = np.linalg.solve(gram, moment)
         if not np.all(np.isfinite(M)):
@@ -231,19 +228,15 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
     return components, grads
 
 
-def _epoch_pass(params, X, protected, T, cfg, refresh):
-    """Encode X once; return (Q, fairoids, Phi), the last two None unless
-    refresh. Phi's centroids are the live ones ("incore") or ("streaming")
-    per-batch least-squares solves over slices of Z, weighted by per-cluster
-    batch mass so that clusters absent from a batch contribute nothing."""
-    M = params[CENTROIDS]
-    Z = encode(params, X)
-    Q = soft_assign(Z, M, cfg.dof)
-    if not refresh:
-        return Q, None, None
+def _refresh_targets(Z, Q, M, protected, T, cfg):
+    """Targets from one encoding Z and its soft assignments Q against the
+    centroids M: returns (P, fairoids, Phi). Phi's centroids are the live M
+    ("incore") or ("streaming") per-batch least-squares solves over slices
+    of Z, weighted by per-cluster batch mass so that clusters absent from a
+    batch contribute nothing."""
+    P = sharpen_target(Q)
     fairoids = compute_fairoids(Z, protected, T)
     if cfg.refresh == "streaming":
-        P = sharpen_target(Q)
         est, mass = np.zeros_like(M), np.zeros(len(M))
         for start in range(0, len(Z), cfg.batch):
             sl = slice(start, start + cfg.batch)
@@ -251,7 +244,7 @@ def _epoch_pass(params, X, protected, T, cfg, refresh):
             est += batch_mass[:, None] * batch_centroids(P[sl], Z[sl])
             mass += batch_mass
         M = est / np.maximum(mass, 1e-12)[:, None]
-    return Q, fairoids, soft_assign(M, fairoids, cfg.dof)
+    return P, fairoids, soft_assign(M, fairoids, cfg.dof)
 
 
 def init_centroids(Z, K, rng, n_init=10):
@@ -279,12 +272,15 @@ def train(ds, ae_params, cfg):
     """Joint training of the encoder, cluster centroids, and the fairness
     objective by minibatch momentum SGD.
 
-    Each epoch encodes the full data once, without a tape. Every
-    refresh_interval epochs the fairoids and the targets P and Psi are
-    recomputed from that encoding (interval 0 freezes the initial targets);
-    cfg.refresh only chooses the centroids behind Psi: the live ones
-    ("incore") or a minibatch least-squares estimate ("streaming"). Each
-    epoch checks convergence (fraction of hard assignments changed below
+    Each parameter state is encoded once, in full and without a tape: the
+    initial encoding seeds the centroids and feeds epoch 0, and each
+    minibatch sweep ends with one encoding that feeds the next epoch (or,
+    after the last one, the returned fairoids). Every refresh_interval
+    epochs the fairoids and the targets P and Psi are recomputed from that
+    encoding (interval 0 freezes the initial targets); cfg.refresh only
+    chooses the centroids behind Psi: the live ones ("incore") or a
+    minibatch least-squares estimate ("streaming"). Each epoch checks
+    convergence (fraction of hard assignments changed below
     convergence_tol), then sweeps shuffled minibatches of the combined
     objective. Fairoids stay constant between refreshes and receive no
     gradient; the centroids ride in the parameter set and are updated by
@@ -300,10 +296,10 @@ def train(ds, ae_params, cfg):
         raise ValueError("training requires at least two protected states")
 
     rng = Rng(cfg.seed)
-    Z0 = encode(ae_params, X)
-    if not np.all(np.isfinite(Z0)):
+    Z = encode(ae_params, X)
+    if not np.all(np.isfinite(Z)):
         raise RuntimeError("non-finite latents; the autoencoder checkpoint is unusable")
-    M0 = init_centroids(Z0, cfg.K, rng.stream("kmeans"))
+    M0 = init_centroids(Z, cfg.K, rng.stream("kmeans"))
     prefixes = ("enc", "dec") if cfg.recon_weight > 0 else ("enc",)
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()
                          if name.startswith(prefixes)), (CENTROIDS, M0)])
@@ -314,12 +310,10 @@ def train(ds, ae_params, cfg):
     prev_hard = None
     P = Psi = fairoids = last_mean = None
     for epoch in range(cfg.max_epochs):
-        do_refresh = P is None or (cfg.refresh_interval > 0
-                                   and epoch % cfg.refresh_interval == 0)
-        Q, new_fairoids, Phi = _epoch_pass(params, X, ds.protected, ds.T, cfg, do_refresh)
-        if do_refresh:
-            fairoids = new_fairoids
-            P = sharpen_target(Q)
+        Q = soft_assign(Z, params[CENTROIDS], cfg.dof)
+        if P is None or (cfg.refresh_interval > 0 and epoch % cfg.refresh_interval == 0):
+            P, fairoids, Phi = _refresh_targets(Z, Q, params[CENTROIDS], ds.protected,
+                                                ds.T, cfg)
             Psi = smooth_target(Phi, cfg.beta, cfg.epsilon)
         hard = Q.argmax(axis=1)
         entry = _epoch_metrics(hard, ds, cfg.K)
@@ -337,28 +331,28 @@ def train(ds, ae_params, cfg):
         batches = 0
         for start in range(0, N, cfg.batch):
             idx = order[start : start + cfg.batch]
-            where = f"epoch {epoch}, batch {batches} (last finite mean loss {last_mean})"
             try:
                 components, grads = fair_objective(params, X[idx], P[idx], Psi,
                                                    fairoids, cfg)
-                if np.isfinite(components["loss"]):
-                    sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,
-                             MOMENTUM, velocity)
-            except (ValueError, RuntimeError) as exc:
-                raise RuntimeError(f"training failed at {where}: {exc}") from exc
-            if not np.isfinite(components["loss"]):
-                raise RuntimeError(f"non-finite loss at {where}")
+                if not np.isfinite(components["loss"]):
+                    raise FloatingPointError("non-finite loss")
+                sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,
+                         MOMENTUM, velocity)
+            except (ValueError, RuntimeError, FloatingPointError) as exc:
+                raise RuntimeError(f"training failed at epoch {epoch}, batch {batches} "
+                                   f"(last finite mean loss {last_mean}): {exc}") from exc
             totals += (components["cluster"], components["fairness"], components["loss"])
             batches += 1
             last_mean = totals[2] / batches
         entry.update(zip(("L_cl", "L_fr", "L"), totals / batches))
         history.append(entry)
+        Z = encode(params, X)
 
-    fairoids = compute_fairoids(encode(params, X), ds.protected, ds.T)
     network = ParamSet((name, params[name] if name in params else layer)
                        for name, layer in ae_params.items())
     return TrainedModel(params=network, centroids=params[CENTROIDS].copy(),
-                        fairoids=fairoids, config=cfg, history=history)
+                        fairoids=compute_fairoids(Z, ds.protected, ds.T), config=cfg,
+                        history=history)
 
 
 def _epoch_metrics(hard, ds, K):

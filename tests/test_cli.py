@@ -187,6 +187,44 @@ class TestEval:
         assert [assignments.count(entry["cluster"]) for entry in report["per_cluster"]] \
             == [entry["size"] for entry in report["per_cluster"]]
 
+    def test_latent_dump_reuses_the_one_encoding(self, synth_dir, trained_dir, tmp_path,
+                                                 monkeypatch):
+        from fairclust import autoencoder, model
+
+        calls = []
+        real = autoencoder.encode
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(autoencoder, "encode", counted)
+        monkeypatch.setattr(model, "encode", counted)
+        reports = []
+        for dump in ("false", "true"):
+            calls.clear()
+            out = tmp_path / dump
+            code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.json",
+                           "--data", synth_dir / "data.csv", "--normalize", "none",
+                           "--dump-latent", dump, "--out", out)
+            assert code == 0 and len(calls) == 1
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_bad_normalize_rejected_before_any_read(self, tmp_path, monkeypatch, capsys):
+        from fairclust import data, model
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(model, "load_model", no_reads)
+        code = run_cli("eval", "--model", tmp_path / "model.json",
+                       "--data", tmp_path / "data.csv", "--normalize", "bogus")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'bogus'" in err
+
     def test_state_count_mismatch_names_both(self, trained_dir, tmp_path, capsys):
         other = tmp_path / "other"
         run_cli("synth", "--n", 120, "--dims", 4, "--blobs", 3, "--t", 3,

@@ -9,7 +9,7 @@ from fairclust.clustering import nearest_assign
 from fairclust.model import (
     CENTROIDS,
     TrainConfig,
-    _epoch_pass,
+    _refresh_targets,
     batch_centroids,
     compute_fairoids,
     fair_objective,
@@ -371,29 +371,56 @@ class TestTrain:
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
 
-class TestEpochPass:
-    def test_modes_share_q_and_fairoids_and_differ_only_in_phi(self):
+class TestRefreshTargets:
+    def test_modes_share_p_and_fairoids_and_differ_only_in_phi(self):
         params, X, _, _, _, cfg = tiny_setup()
         protected, T = np.arange(len(X)) % 2, 2
         Z, M = encode(params, X), params[CENTROIDS]
-        incore = _epoch_pass(params, X, protected, T, replace(cfg, batch=5), True)
-        streaming = _epoch_pass(params, X, protected, T,
-                                replace(cfg, batch=5, refresh="streaming"), True)
-        for Q, fairoids, _ in (incore, streaming):
-            np.testing.assert_array_equal(Q, soft_assign(Z, M))
+        Q = soft_assign(Z, M)
+        incore = _refresh_targets(Z, Q, M, protected, T, replace(cfg, batch=5))
+        streaming = _refresh_targets(Z, Q, M, protected, T,
+                                     replace(cfg, batch=5, refresh="streaming"))
+        for P, fairoids, _ in (incore, streaming):
+            np.testing.assert_array_equal(P, sharpen_target(Q))
             np.testing.assert_array_equal(fairoids, compute_fairoids(Z, protected, T))
         np.testing.assert_array_equal(incore[2], soft_assign(M, incore[1]))
         assert not np.allclose(streaming[2], incore[2])
         # one batch over all rows: the estimate is the least-squares solve on all of Z
-        whole = _epoch_pass(params, X, protected, T,
-                            replace(cfg, batch=len(X), refresh="streaming"), True)
-        M_est = batch_centroids(sharpen_target(whole[0]), Z)
-        np.testing.assert_allclose(whole[2], soft_assign(M_est, whole[1]), rtol=0, atol=1e-12)
-        for mode in ("incore", "streaming"):
-            Q, fairoids, Phi = _epoch_pass(params, X, protected, T,
-                                           replace(cfg, refresh=mode), False)
-            np.testing.assert_array_equal(Q, incore[0])
-            assert fairoids is None and Phi is None
+        P, fairoids, Phi = _refresh_targets(Z, Q, M, protected, T,
+                                            replace(cfg, batch=len(X), refresh="streaming"))
+        M_est = batch_centroids(P, Z)
+        np.testing.assert_allclose(Phi, soft_assign(M_est, fairoids), rtol=0, atol=1e-12)
+
+
+class TestEpochPass:
+    @staticmethod
+    def count_encodes(monkeypatch):
+        import fairclust.model as model_module
+
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return encode(*args)
+
+        monkeypatch.setattr(model_module, "encode", counted)
+        return calls
+
+    def test_each_parameter_state_is_encoded_once(self, monkeypatch):
+        calls = self.count_encodes(monkeypatch)
+        ds, model = small_blobs(gamma=1.0, seed=2, max_epochs=3, tol=0.0)
+        assert len(model.history) == 3 and not model.history[-1].get("converged")
+        # the initial state, then one encoding after each of the three sweeps
+        assert calls == [ds.n] * 4
+        np.testing.assert_array_equal(
+            model.fairoids, compute_fairoids(encode(model.params, ds.features),
+                                             ds.protected, ds.T))
+
+    def test_converged_run_encodes_once_per_history_entry(self, monkeypatch):
+        calls = self.count_encodes(monkeypatch)
+        ds, model = small_blobs(gamma=0.0, seed=3, max_epochs=40)
+        assert model.history[-1].get("converged")
+        assert len(calls) == len(model.history)
 
     @pytest.mark.parametrize("refresh", ["incore", "streaming"])
     def test_empty_protected_state_is_named_in_both_modes(self, refresh):
