@@ -86,18 +86,18 @@ def reconstruction_squared_error(params, X):
 def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
     """One reconstruction epoch on copies of params and velocity, so the
     caller can roll it back; returns (params, velocity, post-epoch loss).
-    Numerical blowups surface as an infinite loss instead of an exception.
+    One gradient set serves every minibatch: `backward` overwrites all of
+    it each step. Numerical blowups surface as an infinite loss instead of
+    an exception.
     """
-    params, velocity = params.copy(), velocity.copy()
-    names, layers = params.names(), params.layers()
+    params, velocity, grads = params.copy(), velocity.copy(), params.zeros_like()
+    layers, grad_layers = params.layers(), grads.layers()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             for start in range(0, len(X), batch):
                 xb = X[order[start : start + batch]]
                 out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
-                layer_grads, _ = backward(tape, squared_error_grad(out, xb))
-                grads = params.zeros_like()
-                grads.assign(zip(names, layer_grads))
+                backward(tape, squared_error_grad(out, xb), grad_layers)
                 sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity)
             loss = squared_error(apply(layers, X), X)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):

@@ -22,7 +22,7 @@ from scipy.special import rel_entr
 
 from . import metrics
 from .autoencoder import encode
-from .clustering import kmeans_pp_init, lloyd, nearest_assign, squared_distances
+from .clustering import distortion, kmeans_pp_init, lloyd, nearest_assign, squared_distances
 from .nn import (
     ParamSet,
     Rng,
@@ -149,19 +149,19 @@ def kl_loss(target, model_probs):
 def batch_centroids(P, Z):
     """Least-squares centroid estimate from soft assignments: solves
     (P^T P) M = P^T Z. With one-hot P this is exactly the per-cluster batch
-    mean. A singular system is retried once with ridge 1e-6."""
+    mean. A singular system is retried once with ridge 1e-6. Returns
+    (M, whether the system was singular)."""
     P = np.asarray(P, dtype=float)
     Z = np.asarray(Z, dtype=float)
     gram = P.T @ P
     moment = P.T @ Z
     try:
         M = np.linalg.solve(gram, moment)
-        if not np.all(np.isfinite(M)):
-            raise np.linalg.LinAlgError("non-finite solve")
+        if np.all(np.isfinite(M)):
+            return M, False
     except np.linalg.LinAlgError:
-        log.warning("singular centroid system; retrying with ridge 1e-6")
-        M = np.linalg.solve(gram + 1e-6 * np.eye(len(gram)), moment)
-    return M
+        pass
+    return np.linalg.solve(gram + 1e-6 * np.eye(len(gram)), moment), True
 
 
 def _kl_t_grads(target, probs, A, B, dof):
@@ -174,23 +174,22 @@ def _kl_t_grads(target, probs, A, B, dof):
     return dA, dB
 
 
-def fair_objective(params, X, P, Psi, fairoids, cfg):
+def fair_objective(params, grads, X, P, Psi, fairoids, cfg):
     """Loss components and exact gradients for one batch against fixed
     targets P (rows matching X) and Psi, with fairoids held constant.
 
     params holds the encoder layers, the (K, d) centroids matrix, and (when
-    the reconstruction weight is positive) the decoder layers. Returns
-    (components dict, gradients as a ParamSet with the layout of params;
-    entries the objective does not reach stay zero).
+    the reconstruction weight is positive) the decoder layers. The
+    gradients are written into grads, a ParamSet with the layout of params;
+    entries the objective does not reach keep what they held (zeros for a
+    fresh `params.zeros_like()`). Returns the components dict.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
-    enc_layers = params.layers("enc")
-    enc_names = [name for name in params.names() if name.startswith("enc")]
     M = params[CENTROIDS]
     K = M.shape[0]
 
-    Z, tape = forward(enc_layers, X)
+    Z, tape = forward(params.layers("enc"), X)
     Q = soft_assign(Z, M, cfg.dof)
     cluster = kl_loss(P, Q) / n
     Phi = soft_assign(M, fairoids, cfg.dof)
@@ -201,31 +200,27 @@ def fair_objective(params, X, P, Psi, fairoids, cfg):
     dZ /= n
     dM /= n
     dM_fair, _ = _kl_t_grads(Psi, Phi, M, fairoids, cfg.dof)
-    dM = dM + (cfg.gamma / fair_norm) * dM_fair
+    grads[CENTROIDS][...] = dM + (cfg.gamma / fair_norm) * dM_fair
 
-    grads = params.zeros_like()
     recon = 0.0
     if cfg.recon_weight > 0:
-        dec_layers = params.layers("dec")
-        dec_names = [name for name in params.names() if name.startswith("dec")]
-        Xhat, dec_tape = forward(dec_layers, Z)
+        dec_grads = grads.layers("dec")
+        Xhat, dec_tape = forward(params.layers("dec"), Z)
         recon = squared_error(Xhat, X)
-        dec_grads, dZ_recon = backward(dec_tape, squared_error_grad(Xhat, X))
+        dZ_recon = backward(dec_tape, squared_error_grad(Xhat, X), dec_grads,
+                            input_grad=True)
         dZ = dZ + cfg.recon_weight * dZ_recon
-        grads.assign((name, (cfg.recon_weight * dw, cfg.recon_weight * db))
-                     for name, (dw, db) in zip(dec_names, dec_grads))
+        for layer in dec_grads:
+            layer.weight *= cfg.recon_weight
+            layer.bias *= cfg.recon_weight
 
-    enc_grads, _ = backward(tape, dZ)
-    grads.assign(zip(enc_names, enc_grads))
-    grads[CENTROIDS][...] = dM
-
-    components = {
+    backward(tape, dZ, grads.layers("enc"))
+    return {
         "loss": cluster + cfg.gamma * fairness + cfg.recon_weight * recon,
         "cluster": cluster,
         "fairness": fairness,
         "recon": recon,
     }
-    return components, grads
 
 
 def _refresh_targets(Z, Q, M, protected, T, cfg):
@@ -233,16 +228,23 @@ def _refresh_targets(Z, Q, M, protected, T, cfg):
     centroids M: returns (P, fairoids, Phi). Phi's centroids are the live M
     ("incore") or ("streaming") per-batch least-squares solves over slices
     of Z, weighted by per-cluster batch mass so that clusters absent from a
-    batch contribute nothing."""
+    batch contribute nothing. Singular batch solves are logged once per
+    refresh, as a count."""
     P = sharpen_target(Q)
     fairoids = compute_fairoids(Z, protected, T)
     if cfg.refresh == "streaming":
-        est, mass = np.zeros_like(M), np.zeros(len(M))
-        for start in range(0, len(Z), cfg.batch):
+        starts = range(0, len(Z), cfg.batch)
+        est, mass, singular = np.zeros_like(M), np.zeros(len(M)), 0
+        for start in starts:
             sl = slice(start, start + cfg.batch)
             batch_mass = P[sl].sum(axis=0)
-            est += batch_mass[:, None] * batch_centroids(P[sl], Z[sl])
+            M_batch, was_singular = batch_centroids(P[sl], Z[sl])
+            est += batch_mass[:, None] * M_batch
             mass += batch_mass
+            singular += was_singular
+        if singular:
+            log.warning("%d of %d batch centroid systems singular; retried with ridge 1e-6",
+                        singular, len(starts))
         M = est / np.maximum(mass, 1e-12)[:, None]
     return P, fairoids, soft_assign(M, fairoids, cfg.dof)
 
@@ -253,7 +255,7 @@ def init_centroids(Z, K, rng, n_init=10):
     best, best_cost = None, np.inf
     for _ in range(n_init):
         M, assign = lloyd(Z, kmeans_pp_init(Z, K, rng), max_iters=20, tol=1e-4)
-        cost = float(np.sum((Z - M[assign]) ** 2))
+        cost = distortion(Z, M, assign)
         if cost < best_cost:
             best, best_cost = M, cost
     return best
@@ -275,16 +277,18 @@ def train(ds, ae_params, cfg):
     Each parameter state is encoded once, in full and without a tape: the
     initial encoding seeds the centroids and feeds epoch 0, and each
     minibatch sweep ends with one encoding that feeds the next epoch (or,
-    after the last one, the returned fairoids). Every refresh_interval
-    epochs the fairoids and the targets P and Psi are recomputed from that
-    encoding (interval 0 freezes the initial targets); cfg.refresh only
-    chooses the centroids behind Psi: the live ones ("incore") or a
-    minibatch least-squares estimate ("streaming"). Each epoch checks
+    after the last one, the returned fairoids). Each epoch first checks
     convergence (fraction of hard assignments changed below
-    convergence_tol), then sweeps shuffled minibatches of the combined
-    objective. Fairoids stay constant between refreshes and receive no
-    gradient; the centroids ride in the parameter set and are updated by
-    the same optimizer as the network. The decoder is trained only when
+    convergence_tol) and stops there if converged. Otherwise, every
+    refresh_interval epochs, the fairoids and the targets P and Psi are
+    recomputed from that encoding (interval 0 freezes the initial
+    targets), and then shuffled minibatches of the combined objective are
+    swept. cfg.refresh only chooses the centroids behind Psi: the live ones
+    ("incore") or a minibatch least-squares estimate ("streaming").
+    Fairoids stay constant between refreshes and receive no gradient; the
+    centroids ride in the parameter set and are updated by the same
+    optimizer as the network, whose one gradient set is allocated here and
+    refilled by every batch. The decoder is trained only when
     recon_weight > 0; otherwise it is returned as ae_params holds it.
     ae_params is never modified.
     """
@@ -303,7 +307,7 @@ def train(ds, ae_params, cfg):
     prefixes = ("enc", "dec") if cfg.recon_weight > 0 else ("enc",)
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()
                          if name.startswith(prefixes)), (CENTROIDS, M0)])
-    velocity = params.zeros_like()
+    velocity, grads = params.zeros_like(), params.zeros_like()
 
     shuffle = rng.stream("shuffle")
     history = []
@@ -311,10 +315,6 @@ def train(ds, ae_params, cfg):
     P = Psi = fairoids = last_mean = None
     for epoch in range(cfg.max_epochs):
         Q = soft_assign(Z, params[CENTROIDS], cfg.dof)
-        if P is None or (cfg.refresh_interval > 0 and epoch % cfg.refresh_interval == 0):
-            P, fairoids, Phi = _refresh_targets(Z, Q, params[CENTROIDS], ds.protected,
-                                                ds.T, cfg)
-            Psi = smooth_target(Phi, cfg.beta, cfg.epsilon)
         hard = Q.argmax(axis=1)
         entry = _epoch_metrics(hard, ds, cfg.K)
         entry["epoch"] = epoch
@@ -325,6 +325,10 @@ def train(ds, ae_params, cfg):
                 history.append(entry)
                 break
         prev_hard = hard
+        if P is None or (cfg.refresh_interval > 0 and epoch % cfg.refresh_interval == 0):
+            P, fairoids, Phi = _refresh_targets(Z, Q, params[CENTROIDS], ds.protected,
+                                                ds.T, cfg)
+            Psi = smooth_target(Phi, cfg.beta, cfg.epsilon)
 
         order = shuffle.permutation(N)
         totals = np.zeros(3)
@@ -332,8 +336,8 @@ def train(ds, ae_params, cfg):
         for start in range(0, N, cfg.batch):
             idx = order[start : start + cfg.batch]
             try:
-                components, grads = fair_objective(params, X[idx], P[idx], Psi,
-                                                   fairoids, cfg)
+                components = fair_objective(params, grads, X[idx], P[idx], Psi,
+                                             fairoids, cfg)
                 if not np.isfinite(components["loss"]):
                     raise FloatingPointError("non-finite loss")
                 sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,

@@ -3,11 +3,14 @@ named deterministic random streams, and a finite-difference gradient checker.
 
 Tensors are plain float64 numpy arrays in row-major order; a data matrix is
 (n_rows, n_features). A ParamSet keeps all of its entries in one contiguous
-buffer, and its layers are views into that buffer. `forward` keeps a tape
-for `backward`; `apply`, for inference, keeps none and runs in row chunks.
-Both, and `backward`, return new arrays and leave their inputs alone;
-`clip_gradients` and `sgd_step` update the ParamSets they are given in
-place, so copy a set before training it when the original must survive.
+buffer, and its layers are views into that buffer; a gradient is a second
+ParamSet with the same layout. `forward` keeps a tape for `backward`;
+`apply`, for inference, keeps none and runs in row chunks. Both return new
+arrays and leave their inputs alone. `backward` writes the layer gradients
+into the views its caller passes, and `clip_gradients` and `sgd_step`
+update the ParamSets they are given in place, so a training loop allocates
+its gradient set once and copies a set before training it when the
+original must survive.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ class ParamSet:
     maps each name to (offset, shape, activation), with activation None for
     a matrix. `params[name]` is an AffineLayer whose weight and bias are
     views into the buffer, or the matrix view, so writing through it
-    changes the set. Entries are validated once, on insertion; inserting
-    or replacing one reallocates the buffer, which detaches earlier views.
-    Entry order is insertion order and is kept by flatten and serialization.
+    changes the set. Entries are validated and copied in once, by the
+    constructor; the layout is fixed from then on. Entry order is
+    construction order and is kept by flatten and serialization.
     """
 
     def __init__(self, entries=None):
@@ -136,7 +139,12 @@ class ParamSet:
             values.append((weight, bias))
             offset += weight.size + (0 if bias is None else bias.size)
         self._attach(layout, np.empty(offset))
-        self.assign(zip(layout, values))
+        for view, (weight, bias) in zip(self._views.values(), values):
+            if bias is None:
+                view[...] = weight
+            else:
+                view.weight[...] = weight
+                view.bias[...] = bias
 
     def _attach(self, layout, buffer):
         self._layout, self.buffer, self._views = layout, buffer, {}
@@ -156,12 +164,6 @@ class ParamSet:
     def __getitem__(self, name):
         return self._views[name]
 
-    def __setitem__(self, name, value):
-        entries = dict(self._views)
-        entries[str(name)] = value
-        rebuilt = ParamSet(entries)
-        self._attach(rebuilt._layout, rebuilt.buffer)
-
     def names(self):
         return list(self._layout)
 
@@ -169,22 +171,8 @@ class ParamSet:
         return list(self._views.items())
 
     def layers(self, prefix=None):
-        """Entries in insertion order, optionally filtered by name prefix."""
+        """Entries in order, optionally filtered by name prefix."""
         return [v for name, v in self._views.items() if prefix is None or name.startswith(prefix)]
-
-    def subset(self, prefix):
-        return ParamSet((name, v) for name, v in self._views.items() if name.startswith(prefix))
-
-    def assign(self, named_values):
-        """Copy values into named entries: (dweight, dbias) pairs as `backward`
-        returns them, or (matrix, None)."""
-        for name, (weight, bias) in named_values:
-            view = self._views[name]
-            if bias is None:
-                view[...] = weight
-            else:
-                view.weight[...] = weight
-                view.bias[...] = bias
 
     def copy(self):
         return self._like(self.buffer.copy())
@@ -274,7 +262,6 @@ class Tape:
 
     layers: list
     steps: list = field(default_factory=list)  # (layer input, pre-activation) pairs
-    input_mask: np.ndarray | None = None
 
 
 def _matrix(x):
@@ -303,21 +290,19 @@ def forward(layers, x, noise=0.0, rng=None):
     only applied when a rate is passed (training mode).
     """
     x = _matrix(x)
-    mask = None
     if noise:
         if not 0.0 < noise < 1.0:
             raise ValueError("noise rate must lie in (0, 1)")
         if rng is None:
             raise ValueError("dropout corruption requires an rng stream")
-        mask = (rng.random(x.shape) >= noise) / (1.0 - noise)
-        x = x * mask
+        x = x * ((rng.random(x.shape) >= noise) / (1.0 - noise))
     steps = []
     h = x
     for i, layer in enumerate(layers):
         pre, out = _layer_step(i, layer, h)
         steps.append((h, pre))
         h = out
-    return h, Tape(layers=list(layers), steps=steps, input_mask=mask)
+    return h, Tape(layers=list(layers), steps=steps)
 
 
 def apply(layers, x):
@@ -334,30 +319,33 @@ def apply(layers, x):
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def backward(tape, upstream):
+def backward(tape, upstream, out, input_grad=False):
     """Exact reverse-mode gradients of the traced forward pass.
 
-    Returns (per-layer [(dweight, dbias), ...] in forward order, input
-    gradient). The input gradient includes the dropout mask when the
-    forward pass was corrupted.
+    Writes each layer's (dweight, dbias) into out, a list of gradient
+    layers in forward order such as `grads.layers("enc")`, overwriting what
+    they held. Returns the gradient with respect to the input the tape
+    recorded (after any dropout corruption) when input_grad is set; else
+    the first layer's `g @ weight.T` is not formed and None is returned.
     """
     g = np.asarray(upstream, dtype=float)
     if not tape.steps:
         raise ValueError("tape is empty")
+    if len(out) != len(tape.layers):
+        raise ValueError(f"{len(out)} gradient layers for a {len(tape.layers)}-layer tape")
     n_out = tape.layers[-1].n_out
     if g.shape != (tape.steps[0][0].shape[0], n_out):
         raise ValueError("upstream gradient shape does not match the traced output")
-    grads = [None] * len(tape.layers)
     for i in range(len(tape.layers) - 1, -1, -1):
         layer = tape.layers[i]
         h_in, pre = tape.steps[i]
         if layer.activation == "relu":
             g = g * (pre > 0)
-        grads[i] = (h_in.T @ g, g.sum(axis=0))
-        g = g @ layer.weight.T
-    if tape.input_mask is not None:
-        g = g * tape.input_mask
-    return grads, g
+        np.matmul(h_in.T, g, out=out[i].weight)
+        g.sum(axis=0, out=out[i].bias)
+        if i or input_grad:
+            g = g @ layer.weight.T
+    return g if input_grad else None
 
 
 def _squared_norm(entry):

@@ -105,20 +105,17 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(42)
 
         # (a) three-layer autoencoder under squared reconstruction error
-        ae = ParamSet()
         dims = (6, 5, 4, 6)
-        for i in range(3):
-            act = "identity" if i == 2 else "relu"
-            ae[f"layer{i}"] = AffineLayer(
-                0.7 * rng.standard_normal((dims[i], dims[i + 1])),
-                0.1 * rng.standard_normal(dims[i + 1]), act)
+        ae = ParamSet((f"layer{i}", AffineLayer(
+            0.7 * rng.standard_normal((dims[i], dims[i + 1])),
+            0.1 * rng.standard_normal(dims[i + 1]), "identity" if i == 2 else "relu"))
+            for i in range(3))
         X = rng.random((10, 6))
 
         def recon_loss(p):
             out, tape = forward(p.layers(), X)
-            layer_grads, _ = backward(tape, squared_error_grad(out, X))
             grads = p.zeros_like()
-            grads.assign(zip(p.names(), layer_grads))
+            backward(tape, squared_error_grad(out, X), grads.layers())
             return squared_error(out, X), grads
 
         err_ae = finite_diff_check(recon_loss, ae, h=1e-5, sample=ae.n_params)
@@ -129,13 +126,14 @@ def test_criterion_1_gradient_correctness():
         N, D, d, K, T = 12, 4, 2, 2, 2
         X = rng.random((N, D))
         protected = np.arange(N) % T
-        params = ParamSet()
-        params["enc0"] = AffineLayer(0.6 * rng.standard_normal((D, 6)),
-                                     0.1 * rng.standard_normal(6), "relu")
-        params["enc1"] = AffineLayer(0.6 * rng.standard_normal((6, d)),
-                                     0.1 * rng.standard_normal(d), "identity")
-        M = rng.standard_normal((K, d))
-        params[CENTROIDS] = M
+        params = ParamSet([
+            ("enc0", AffineLayer(0.6 * rng.standard_normal((D, 6)),
+                                 0.1 * rng.standard_normal(6), "relu")),
+            ("enc1", AffineLayer(0.6 * rng.standard_normal((6, d)),
+                                 0.1 * rng.standard_normal(d), "identity")),
+            (CENTROIDS, rng.standard_normal((K, d))),
+        ])
+        M = params[CENTROIDS]
         Z = encode(params, X)
         fairoids = compute_fairoids(Z, protected, T)
         P = sharpen_target(soft_assign(Z, M))
@@ -143,7 +141,8 @@ def test_criterion_1_gradient_correctness():
         cfg = TrainConfig(K=K, gamma=2.5, seed=0)
 
         def joint_loss(p):
-            comps, grads = fair_objective(p, X, P, Psi, fairoids, cfg)
+            grads = p.zeros_like()
+            comps = fair_objective(p, grads, X, P, Psi, fairoids, cfg)
             return comps["loss"], grads
 
         err_joint = finite_diff_check(joint_loss, params, h=1e-5,
@@ -177,12 +176,12 @@ def test_criterion_3_batch_centroid_estimates():
             one_hot = np.zeros((n, K))
             one_hot[np.arange(n), assign] = 1.0
             means = np.stack([Z[assign == k].mean(axis=0) for k in range(K)])
-            np.testing.assert_allclose(batch_centroids(one_hot, Z), means,
+            np.testing.assert_allclose(batch_centroids(one_hot, Z)[0], means,
                                        atol=1e-10)
             soft = rng.uniform(0.05, 1.0, size=(n, K))
             soft /= soft.sum(axis=1, keepdims=True)
             reference = np.linalg.lstsq(soft, Z, rcond=None)[0]
-            np.testing.assert_allclose(batch_centroids(soft, Z), reference,
+            np.testing.assert_allclose(batch_centroids(soft, Z)[0], reference,
                                        atol=1e-8)
 
 

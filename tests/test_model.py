@@ -23,7 +23,7 @@ from fairclust.model import (
     soft_assign,
     train,
 )
-from fairclust.nn import AffineLayer, ParamSet, Rng, finite_diff_check
+from fairclust.nn import AffineLayer, ParamSet, Rng, backward, finite_diff_check
 
 
 def row_stochastic(rng, rows, cols, low=0.05):
@@ -194,30 +194,30 @@ class TestBatchCentroids:
     def test_one_hot_reduces_to_group_means(self):
         P = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         Z = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 5.0]])
-        M = batch_centroids(P, Z)
+        M, singular = batch_centroids(P, Z)
         np.testing.assert_allclose(M, [[1.0, 1.0], [5.0, 5.0]], atol=1e-10)
+        assert not singular
 
     def test_soft_assignment_worked_example(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         Z = np.array([[0.0], [4.0], [2.0]])
-        np.testing.assert_allclose(batch_centroids(P, Z), [[0.0], [4.0]], atol=1e-12)
+        np.testing.assert_allclose(batch_centroids(P, Z)[0], [[0.0], [4.0]], atol=1e-12)
 
-    def test_singular_system_retried_with_ridge(self, caplog):
+    def test_singular_system_retried_with_ridge(self):
         P = np.array([[1.0, 0.0], [1.0, 0.0]])  # cluster 1 empty: singular
         Z = np.array([[1.0], [3.0]])
-        with caplog.at_level("WARNING"):
-            M = batch_centroids(P, Z)
+        M, singular = batch_centroids(P, Z)
+        assert singular
         assert np.all(np.isfinite(M))
         assert M[0, 0] == pytest.approx(2.0, abs=1e-3)
         assert abs(M[1, 0]) < 1e-3  # empty cluster pulled toward zero
-        assert any("ridge" in r.message for r in caplog.records)
 
     def test_matches_dense_least_squares(self):
         rng = np.random.default_rng(7)
         P = row_stochastic(rng, 30, 4)
         Z = rng.standard_normal((30, 3))
         expected = np.linalg.lstsq(P, Z, rcond=None)[0]
-        np.testing.assert_allclose(batch_centroids(P, Z), expected, atol=1e-8)
+        np.testing.assert_allclose(batch_centroids(P, Z)[0], expected, atol=1e-8)
 
 
 def tiny_setup(gamma=2.0, recon=0.0, seed=42):
@@ -225,17 +225,18 @@ def tiny_setup(gamma=2.0, recon=0.0, seed=42):
     N, D, d, K, T = 12, 4, 2, 2, 2
     X = rng.random((N, D))
     protected = np.arange(N) % T
-    params = ParamSet()
-    params["enc0"] = AffineLayer(0.6 * rng.standard_normal((D, 6)),
-                                 0.1 * rng.standard_normal(6), "relu")
-    params["enc1"] = AffineLayer(0.6 * rng.standard_normal((6, d)),
-                                 0.1 * rng.standard_normal(d), "identity")
-    params["dec0"] = AffineLayer(0.6 * rng.standard_normal((d, 6)),
-                                 0.1 * rng.standard_normal(6), "relu")
-    params["dec1"] = AffineLayer(0.6 * rng.standard_normal((6, D)),
-                                 0.1 * rng.standard_normal(D), "identity")
-    M = rng.standard_normal((K, d))
-    params[CENTROIDS] = M
+    params = ParamSet([
+        ("enc0", AffineLayer(0.6 * rng.standard_normal((D, 6)),
+                             0.1 * rng.standard_normal(6), "relu")),
+        ("enc1", AffineLayer(0.6 * rng.standard_normal((6, d)),
+                             0.1 * rng.standard_normal(d), "identity")),
+        ("dec0", AffineLayer(0.6 * rng.standard_normal((d, 6)),
+                             0.1 * rng.standard_normal(6), "relu")),
+        ("dec1", AffineLayer(0.6 * rng.standard_normal((6, D)),
+                             0.1 * rng.standard_normal(D), "identity")),
+        (CENTROIDS, rng.standard_normal((K, d))),
+    ])
+    M = params[CENTROIDS]
     Z = encode(params, X)
     Pi = compute_fairoids(Z, protected, T)
     Q = soft_assign(Z, M)
@@ -250,7 +251,8 @@ class TestFairObjective:
         params, X, P, Psi, Pi, cfg = tiny_setup(gamma=2.5)
 
         def fn(p):
-            comps, grads = fair_objective(p, X, P, Psi, Pi, cfg)
+            grads = p.zeros_like()
+            comps = fair_objective(p, grads, X, P, Psi, Pi, cfg)
             return comps["loss"], grads
 
         assert finite_diff_check(fn, params, h=1e-5, sample=params.n_params) <= 1e-4
@@ -259,7 +261,8 @@ class TestFairObjective:
         params, X, P, Psi, Pi, cfg = tiny_setup(gamma=1.5, recon=0.7)
 
         def fn(p):
-            comps, grads = fair_objective(p, X, P, Psi, Pi, cfg)
+            grads = p.zeros_like()
+            comps = fair_objective(p, grads, X, P, Psi, Pi, cfg)
             return comps["loss"], grads
 
         assert finite_diff_check(fn, params, h=1e-5, sample=params.n_params) <= 1e-4
@@ -271,12 +274,54 @@ class TestFairObjective:
         Z = encode(params, X)
         Q = soft_assign(Z, params[CENTROIDS])
         Psi = soft_assign(params[CENTROIDS], Pi)
-        comps, grads = fair_objective(params, X, Q, Psi, Pi, cfg)
+        grads = params.zeros_like()
+        comps = fair_objective(params, grads, X, Q, Psi, Pi, cfg)
         assert comps["cluster"] == pytest.approx(0.0, abs=1e-12)
         flat = np.concatenate([grads[CENTROIDS].ravel()]
                               + [grads[n].weight.ravel() for n in grads.names()
                                  if n.startswith("enc")])
         assert np.abs(flat).max() < 1e-8
+
+    @pytest.mark.parametrize("recon", [0.0, 0.7])
+    def test_fills_the_callers_gradient_set(self, recon):
+        params, X, P, Psi, Pi, cfg = tiny_setup(gamma=1.5, recon=recon)
+        fresh = params.zeros_like()
+        comps = fair_objective(params, fresh, X, P, Psi, Pi, cfg)
+        assert set(comps) == {"loss", "cluster", "fairness", "recon"}
+        stale = params.copy()
+        fair_objective(params, stale, X, P, Psi, Pi, cfg)
+        for name in params.names():
+            reached = not name.startswith("dec") or recon > 0
+            expected = fresh[name] if reached else params[name]
+            if name == CENTROIDS:
+                assert stale[name].tobytes() == expected.tobytes()
+            else:
+                assert stale[name].weight.tobytes() == expected.weight.tobytes()
+                assert stale[name].bias.tobytes() == expected.bias.tobytes()
+        if recon == 0:
+            assert not any(fresh[n].weight.any() or fresh[n].bias.any() for n in ("dec0", "dec1"))
+
+    def test_only_the_decoder_pass_forms_an_input_gradient(self, monkeypatch):
+        import fairclust.autoencoder as ae_module
+        import fairclust.model as model_module
+
+        asked = []
+
+        def recorded(*args, input_grad=False):
+            asked.append(input_grad)
+            return backward(*args, input_grad=input_grad)
+
+        monkeypatch.setattr(model_module, "backward", recorded)
+        monkeypatch.setattr(ae_module, "backward", recorded)
+        for recon, expected in ((0.0, [False]), (0.7, [True, False])):
+            params, X, P, Psi, Pi, cfg = tiny_setup(recon=recon)
+            asked.clear()
+            fair_objective(params, params.zeros_like(), X, P, Psi, Pi, cfg)
+            assert asked == expected
+        asked.clear()
+        fc.pretrain(X, fc.AeConfig(dims=(4, 3, 2), layerwise_epochs=1, global_epochs=1,
+                                   batch=5, seed=0))
+        assert asked and not any(asked)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(8)
@@ -388,8 +433,25 @@ class TestRefreshTargets:
         # one batch over all rows: the estimate is the least-squares solve on all of Z
         P, fairoids, Phi = _refresh_targets(Z, Q, M, protected, T,
                                             replace(cfg, batch=len(X), refresh="streaming"))
-        M_est = batch_centroids(P, Z)
+        M_est, _ = batch_centroids(P, Z)
         np.testing.assert_allclose(Phi, soft_assign(M_est, fairoids), rtol=0, atol=1e-12)
+
+    def test_singular_batches_logged_once_per_refresh(self, caplog):
+        _, _, _, _, _, cfg = tiny_setup()
+        Z = np.arange(10.0)[:, None]
+        # rows 0-6 in cluster 0, rows 7-9 in cluster 1: with batches of two
+        # rows, all but rows 6-7 leave a cluster empty
+        Q = np.eye(2)[[0] * 7 + [1] * 3]
+        M, protected = np.array([[3.0], [8.0]]), np.arange(10) % 2
+        with caplog.at_level("WARNING", logger="fairclust.model"):
+            _refresh_targets(Z, Q, M, protected, 2, replace(cfg, batch=2))
+            assert not caplog.records
+            _, _, Phi = _refresh_targets(Z, Q, M, protected, 2,
+                                         replace(cfg, batch=2, refresh="streaming"))
+        assert np.all(np.isfinite(Phi))
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert "4 of 5" in record.getMessage() and "ridge 1e-6" in record.getMessage()
 
 
 class TestEpochPass:
@@ -421,6 +483,36 @@ class TestEpochPass:
         ds, model = small_blobs(gamma=0.0, seed=3, max_epochs=40)
         assert model.history[-1].get("converged")
         assert len(calls) == len(model.history)
+
+    def test_converged_run_skips_the_last_refresh(self, monkeypatch):
+        import fairclust.model as model_module
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _refresh_targets(*args)
+
+        monkeypatch.setattr(model_module, "_refresh_targets", counted)
+        ds, model = small_blobs(gamma=0.0, seed=3, max_epochs=40)
+        assert model.history[-1].get("converged")
+        # every history entry but the converged one is followed by a sweep
+        assert len(calls) == len(model.history) - 1
+
+    def test_one_gradient_set_per_run(self, monkeypatch):
+        ds, ae, cfg = tiny_run(recon_weight=0.5)
+        calls = []
+        zeros_like = ParamSet.zeros_like
+
+        def counted(self):
+            calls.append(1)
+            return zeros_like(self)
+
+        monkeypatch.setattr(ParamSet, "zeros_like", counted)
+        model = train(ds, ae, cfg)
+        assert len(model.history) == 3
+        # velocity and gradients
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("refresh", ["incore", "streaming"])
     def test_empty_protected_state_is_named_in_both_modes(self, refresh):
@@ -536,9 +628,9 @@ class TestTrainingState:
         def fails_on_fourth_batch(*args):
             if len(losses) == 3:
                 raise ValueError("boom")
-            components, grads = real(*args)
+            components = real(*args)
             losses.append(components["loss"])
-            return components, grads
+            return components
 
         monkeypatch.setattr(model_module, "fair_objective", fails_on_fourth_batch)
         with pytest.raises(RuntimeError) as info:

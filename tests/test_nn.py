@@ -27,15 +27,15 @@ from fairclust.nn import (
 
 
 def random_params(rng, dims=(5, 7, 3), last_identity=True):
-    params = ParamSet()
+    entries = []
     for i in range(len(dims) - 1):
         act = "identity" if (last_identity and i == len(dims) - 2) else "relu"
-        params[f"layer{i}"] = AffineLayer(
+        entries.append((f"layer{i}", AffineLayer(
             rng.standard_normal((dims[i], dims[i + 1])),
             rng.standard_normal(dims[i + 1]),
             act,
-        )
-    return params
+        )))
+    return ParamSet(entries)
 
 
 class TestForward:
@@ -64,8 +64,8 @@ class TestForward:
 
     def test_no_noise_without_rng_is_allowed(self):
         layer = AffineLayer(np.eye(2), np.zeros(2), "identity")
-        out, tape = forward([layer], np.zeros((3, 2)))
-        assert tape.input_mask is None
+        out, _ = forward([layer], np.zeros((3, 2)))
+        np.testing.assert_array_equal(out, np.zeros((3, 2)))
 
     def test_noise_requires_rng(self):
         layer = AffineLayer(np.eye(2), np.zeros(2), "identity")
@@ -131,9 +131,11 @@ class TestBackward:
         layer = AffineLayer(rng.standard_normal((3, 2)), rng.standard_normal(2), "identity")
         x = rng.standard_normal((5, 3))
         out, tape = forward([layer], x)
-        grads, dx = backward(tape, squared_error_grad(out, out))
-        np.testing.assert_array_equal(grads[0][0], 0)
-        np.testing.assert_array_equal(grads[0][1], 0)
+        # the gradient set starts non-zero, so the zeros below were written
+        grads = ParamSet({"l": layer})
+        dx = backward(tape, squared_error_grad(out, out), grads.layers(), input_grad=True)
+        np.testing.assert_array_equal(grads["l"].weight, 0)
+        np.testing.assert_array_equal(grads["l"].bias, 0)
         np.testing.assert_array_equal(dx, 0)
 
     def test_linear_layer_weight_gradient_identity(self):
@@ -143,9 +145,10 @@ class TestBackward:
         x = rng.standard_normal((6, 4))
         g = rng.standard_normal((6, 3))
         _, tape = forward([layer], x)
-        grads, dx = backward(tape, g)
-        np.testing.assert_allclose(grads[0][0], x.T @ g)
-        np.testing.assert_allclose(grads[0][1], g.sum(axis=0))
+        grads = ParamSet({"l": layer}).zeros_like()
+        dx = backward(tape, g, grads.layers(), input_grad=True)
+        np.testing.assert_allclose(grads["l"].weight, x.T @ g)
+        np.testing.assert_allclose(grads["l"].bias, g.sum(axis=0))
         np.testing.assert_allclose(dx, g @ layer.weight.T)
 
     def test_three_layer_net_matches_central_differences(self):
@@ -160,9 +163,8 @@ class TestBackward:
             return squared_error(out, target)
 
         out, tape = forward(params.layers(), x)
-        layer_grads, _ = backward(tape, squared_error_grad(out, target))
         grads = params.zeros_like()
-        grads.assign(zip(params.names(), layer_grads))
+        backward(tape, squared_error_grad(out, target), grads.layers())
         analytic = grads.flatten()
         flat = params.flatten()
         h = 1e-5
@@ -174,9 +176,60 @@ class TestBackward:
             worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8))
         assert worst <= 1e-4
 
+    def test_backward_leaves_unwritten_entries_zero(self):
+        params = random_params(np.random.default_rng(12), dims=(3, 3, 3),
+                               last_identity=False)
+        params["layer0"].weight[...] = np.eye(3)  # relu passes x = 1 through
+        params["layer0"].bias[...] = 0.0
+        x = np.ones((4, 3))
+        out, tape = forward(params.layers()[:1], x)
+        grads = params.zeros_like()
+        backward(tape, np.ones_like(out), grads.layers()[:1])
+        np.testing.assert_array_equal(grads["layer0"].weight, np.full((3, 3), 4.0))
+        np.testing.assert_array_equal(grads["layer0"].bias, np.full(3, 4.0))
+        assert grads["layer1"].weight.sum() == 0
+        assert grads["layer1"].bias.sum() == 0
+
+    def test_gradient_layers_must_match_the_tape(self):
+        params = random_params(np.random.default_rng(17), dims=(3, 3, 3))
+        out, tape = forward(params.layers(), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="gradient layers"):
+            backward(tape, np.ones_like(out), params.zeros_like().layers()[:1])
+
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError):
-            backward(type("T", (), {"steps": [], "layers": []})(), np.zeros((1, 1)))
+            backward(type("T", (), {"steps": [], "layers": []})(), np.zeros((1, 1)), [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 24), min_size=2, max_size=5),
+           st.lists(st.sampled_from(["identity", "relu"]), min_size=4, max_size=4),
+           st.integers(1, 64), st.sampled_from([0.0, 0.2, 0.5]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_writes_the_tape_formula_bit_for_bit(self, widths, acts, rows, noise,
+                                                 input_grad, seed):
+        rng = np.random.default_rng(seed)
+        params = ParamSet((f"layer{i}", AffineLayer(rng.standard_normal((n_in, n_out)),
+                                                    rng.standard_normal(n_out), act))
+                          for i, (n_in, n_out, act) in enumerate(zip(widths, widths[1:], acts)))
+        x = rng.standard_normal((rows, widths[0]))
+        out, tape = forward(params.layers(), x, noise=noise, rng=Rng(seed).stream("dropout"))
+        upstream = rng.standard_normal(out.shape)
+        # the reference: every product formed from the tape, as new arrays
+        g, expected = upstream, []
+        for layer, (h_in, pre) in reversed(list(zip(tape.layers, tape.steps))):
+            if layer.activation == "relu":
+                g = g * (pre > 0)
+            expected.append((h_in.T @ g, g.sum(axis=0)))
+            g = g @ layer.weight.T
+        grads = params.copy()  # non-zero, so every value checked below was written
+        dx = backward(tape, upstream, grads.layers(), input_grad=input_grad)
+        for layer, (dw, db) in zip(grads.layers(), expected[::-1]):
+            assert layer.weight.tobytes() == dw.tobytes()
+            assert layer.bias.tobytes() == db.tobytes()
+        if input_grad:
+            assert dx.tobytes() == g.tobytes()
+        else:
+            assert dx is None
 
 
 class TestSgdStep:
@@ -288,19 +341,11 @@ class TestParamSet:
             np.testing.assert_array_equal(loaded[name].bias, layer.bias)
 
     def test_prefix_selection_preserves_order(self):
-        params = ParamSet()
-        for name in ("enc0", "enc1", "dec0", "dec1"):
-            params[name] = AffineLayer(np.zeros((2, 2)), np.zeros(2), "identity")
+        params = ParamSet((name, AffineLayer(np.zeros((2, 2)), np.zeros(2), "identity"))
+                          for name in ("enc0", "enc1", "dec0", "dec1"))
         assert len(params.layers("enc")) == 2
-        assert params.subset("dec").names() == ["dec0", "dec1"]
-
-    def test_assign_leaves_unwritten_entries_zero(self):
-        params = random_params(np.random.default_rng(12), dims=(3, 3, 3))
-        grads = params.zeros_like()
-        grads.assign([("layer0", (np.ones((3, 3)), np.ones(3)))])
-        assert grads["layer0"].weight.sum() == 9
-        assert grads["layer1"].weight.sum() == 0
-        assert grads["layer1"].bias.sum() == 0
+        dec = params.layers("dec")
+        assert len(dec) == 2 and dec[0] is params["dec0"] and dec[1] is params["dec1"]
 
     def test_layers_are_views_into_one_buffer(self):
         params = random_params(np.random.default_rng(13), dims=(3, 4, 2))
@@ -318,23 +363,14 @@ class TestParamSet:
         assert zeros.names() == params.names() and not zeros.buffer.any()
 
     def test_matrix_entry_has_no_bias(self):
-        params = random_params(np.random.default_rng(15), dims=(3, 2))
         M = np.arange(6.0).reshape(3, 2)
-        params["centroids"] = M
+        params = ParamSet([*random_params(np.random.default_rng(15), dims=(3, 2)).items(),
+                           ("centroids", M)])
         assert params.n_params == 3 * 2 + 2 + 6
         np.testing.assert_array_equal(params["centroids"], M)
         np.testing.assert_array_equal(params.flatten()[-6:], M.ravel())
         with pytest.raises(ValueError, match="bare matrix"):
             params.to_payload()
-
-    def test_replacing_an_entry_keeps_its_position(self):
-        params = random_params(np.random.default_rng(16), dims=(3, 2, 2))
-        before = params.flatten()
-        params["layer0"] = AffineLayer(np.ones((3, 2)), np.zeros(2), "relu")
-        assert params.names() == ["layer0", "layer1"]
-        assert params["layer0"].activation == "relu"
-        np.testing.assert_array_equal(params.flatten()[:8], [1.0] * 6 + [0.0] * 2)
-        np.testing.assert_array_equal(params.flatten()[8:], before[8:])
 
     def test_insertion_validates_entries(self):
         with pytest.raises(ValueError, match="finite"):
