@@ -86,23 +86,31 @@ def reconstruction_squared_error(params, X):
 def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
     """One reconstruction epoch on copies of params and velocity, so the
     caller can roll it back; returns (params, velocity, post-epoch loss).
-    One gradient set serves every minibatch: `backward` overwrites all of
-    it each step. Numerical blowups surface as an infinite loss instead of
-    an exception.
+    Numerical blowups surface as an infinite loss instead of an exception.
     """
-    params, velocity, grads = params.copy(), velocity.copy(), params.zeros_like()
-    layers, grad_layers = params.layers(), grads.layers()
+    params, velocity = params.copy(), velocity.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            for start in range(0, len(X), batch):
-                xb = X[order[start : start + batch]]
-                out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
-                backward(tape, squared_error_grad(out, xb), grad_layers)
-                sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity)
-            loss = squared_error(apply(layers, X), X)
+            _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream)
+            loss = squared_error(apply(params.layers(), X), X)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             return params, velocity, np.inf
     return params, velocity, loss if np.isfinite(loss) else np.inf
+
+
+def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream):
+    """The epoch's minibatch updates, in place. One gradient set and one
+    `sgd_step` scratch array serve every minibatch (`backward` overwrites
+    all of the gradient set each step); both are freed on return, before
+    the full-data loss pass, so they do not add to its peak memory."""
+    grads = params.zeros_like()
+    scratch = np.empty(params.n_params)
+    layers, grad_layers = params.layers(), grads.layers()
+    for start in range(0, len(X), batch):
+        xb = X[order[start : start + batch]]
+        out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
+        backward(tape, squared_error_grad(out, xb), grad_layers)
+        sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity, scratch)
 
 
 def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):

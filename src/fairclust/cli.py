@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -297,8 +298,13 @@ AGG_FIELDS = ("acc", "nmi", "fwd_mean", "fwd_max", "balance_min")
 
 
 def _aggregate(reports_by_seed, failures):
+    """failures maps each failed seed to its exception."""
     agg = {"schema_version": SCHEMA_VERSION, "seeds": sorted(reports_by_seed),
-           "failures": sorted(failures), "metrics": {}}
+           "failures": [{"seed": seed,
+                         "error": traceback.format_exception_only(exc)[-1].strip(),
+                         "traceback": "".join(traceback.format_exception(exc))}
+                        for seed, exc in sorted(failures.items())],
+           "metrics": {}}
     for name in AGG_FIELDS:
         values = [getattr(reports_by_seed[s], name) for s in sorted(reports_by_seed)]
         if any(v is None for v in values) or not values:
@@ -328,8 +334,8 @@ def _run_seeds(ds, ae_params, opts, seeds, out):
     for seed, result in outcomes:
         try:
             reports[seed] = result()
-        except Exception as exc:  # per-seed failure; the summary marks it
-            failures[seed] = str(exc)
+        except Exception as exc:  # per-seed failure; the summary records it
+            failures[seed] = exc
     agg = _aggregate(reports, failures)
     _json_dump(agg, out / "aggregate.json")
     return agg
@@ -361,6 +367,8 @@ def cmd_train(opts):
     _write_manifest(out, "train", artifacts)
     print(json.dumps(agg["metrics"], sort_keys=True, indent=2))
     if agg["failures"]:
+        for failure in agg["failures"]:
+            print(f"seed {failure['seed']} failed: {failure['error']}", file=sys.stderr)
         print(f"{len(agg['failures'])} seed(s) failed", file=sys.stderr)
         return 2
     return 0

@@ -144,6 +144,13 @@ def load_csv(path, schema):
     column order, not the schema's (a manifest's roles are key-sorted:
     f0, f1, f10, ...). Missing or unparseable numeric cells are an error
     naming the row and column.
+
+    The numeric columns are parsed by one `np.loadtxt` call, which reads
+    each cell with the same float parser as `float()`. A file that call
+    rejects, or that has a non-finite value, a row of the wrong length or a
+    blank line, is scanned again cell by cell with `float()`: that scan
+    raises the error naming the row and column, or returns what `float()`
+    reads (it also accepts forms such as "1_000" that `np.loadtxt` does not).
     """
     path = Path(path)
     if not path.exists():
@@ -163,36 +170,22 @@ def load_csv(path, schema):
         raise ValueError("schema must name at least one feature column")
 
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty CSV file")
-        missing = [c for c in schema if c not in header]
-        if missing:
-            raise ValueError(f"columns not present in the file: {missing}")
-        col_idx = {c: header.index(c) for c in schema}
-        feature_cols.sort(key=col_idx.get)
-        categorical_cols.sort(key=col_idx.get)
-        numeric = {c: [] for c in feature_cols}
-        raw_cat = {c: [] for c in categorical_cols}
-        raw_prot, raw_label = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-            for c in feature_cols:
-                cell = row[col_idx[c]].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(f"row {row_no}, column {c!r}: cannot parse {cell!r}")
-                if not math.isfinite(value):
-                    raise ValueError(f"row {row_no}, column {c!r}: non-finite value {cell!r}")
-                numeric[c].append(value)
-            for c in categorical_cols:
-                raw_cat[c].append(row[col_idx[c]].strip())
-            raw_prot.append(row[col_idx[protected_cols[0]]].strip())
-            if label_cols:
-                raw_label.append(row[col_idx[label_cols[0]]].strip())
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise ValueError("empty CSV file")
+    missing = [c for c in schema if c not in header]
+    if missing:
+        raise ValueError(f"columns not present in the file: {missing}")
+    col_idx = {c: header.index(c) for c in schema}
+    feature_cols.sort(key=col_idx.get)
+    categorical_cols.sort(key=col_idx.get)
+    text_cols = categorical_cols + protected_cols + label_cols
+    try:
+        numeric, text = _read_columns_fast(path, header, col_idx, feature_cols, text_cols)
+    except (ValueError, csv.Error):
+        numeric, text = _read_columns_by_cell(path, header, col_idx, feature_cols, text_cols)
+    raw_cat = text[: len(categorical_cols)]
+    raw_prot = text[len(categorical_cols)]
 
     if not raw_prot:
         raise ValueError("CSV contains no data rows")
@@ -200,20 +193,71 @@ def load_csv(path, schema):
     if len(prot_levels) == 1:
         raise ValueError("T=1: fairness undefined")
 
-    blocks, names = [], []
-    for c in feature_cols:
-        blocks.append(np.asarray(numeric[c])[:, None])
-        names.append(c)
-    for c in categorical_cols:
-        codes, levels = encode_first_appearance(raw_cat[c])
+    blocks, names = [numeric], list(feature_cols)
+    for c, cells in zip(categorical_cols, raw_cat):
+        codes, levels = encode_first_appearance(cells)
         blocks.append(one_hot(codes, len(levels)))
         names.extend(f"{c}={level}" for level in levels)
     features = np.hstack(blocks)
 
     labels = None
     if label_cols:
-        labels, _ = encode_first_appearance(raw_label)
+        labels, _ = encode_first_appearance(text[-1])
     return Dataset(features, protected, labels=labels, feature_names=names)
+
+
+def _data_rows(path):
+    """(row number, cells) of each record after the header."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        yield from enumerate(reader, start=2)
+
+
+def _read_columns_fast(path, header, col_idx, feature_cols, text_cols):
+    """(numeric block, stripped text columns): the text columns from one csv
+    pass, the numeric block from one `np.loadtxt` call. Raises ValueError
+    whenever the result could differ from `_read_columns_by_cell`'s."""
+    if any("\n" in c or "\r" in c for c in header):
+        raise ValueError("header spans lines")  # loadtxt's skiprows counts lines
+    text = [[] for _ in text_cols]
+    for _, row in _data_rows(path):
+        if len(row) != len(header):
+            raise ValueError("row length")
+        for cells, c in zip(text, text_cols):
+            cells.append(row[col_idx[c]].strip())
+    n_rows = len(text[0])
+    usecols = [col_idx[c] for c in feature_cols]
+    if not usecols or not n_rows:
+        return np.empty((n_rows, len(usecols))), text
+    numeric = np.loadtxt(path, dtype=float, delimiter=",", comments=None, quotechar='"',
+                         skiprows=1, usecols=usecols, ndmin=2, encoding="utf-8")
+    if numeric.shape != (n_rows, len(usecols)) or not np.all(np.isfinite(numeric)):
+        raise ValueError("numeric block disagrees with the csv pass")
+    return numeric, text
+
+
+def _read_columns_by_cell(path, header, col_idx, feature_cols, text_cols):
+    """The reference parse: `float()` on each stripped numeric cell, row by
+    row. Raises the first error in file order, naming its row and column."""
+    numeric, text = [], [[] for _ in text_cols]
+    for row_no, row in _data_rows(path):
+        if len(row) != len(header):
+            raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+        values = []
+        for c in feature_cols:
+            cell = row[col_idx[c]].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"row {row_no}, column {c!r}: cannot parse {cell!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"row {row_no}, column {c!r}: non-finite value {cell!r}")
+            values.append(value)
+        numeric.append(values)
+        for cells, c in zip(text, text_cols):
+            cells.append(row[col_idx[c]].strip())
+    return np.array(numeric, dtype=float).reshape(len(numeric), len(feature_cols)), text
 
 
 def normalize(ds, mode="minmax"):

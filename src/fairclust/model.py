@@ -29,15 +29,17 @@ from .nn import (
     backward,
     clip_gradients,
     forward,
+    pack_array,
     sgd_step,
     squared_error,
     squared_error_grad,
+    unpack_array,
 )
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "fairclust-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 MOMENTUM = 0.9
 CENTROIDS = "centroids"
 
@@ -287,10 +289,10 @@ def train(ds, ae_params, cfg):
     ("incore") or a minibatch least-squares estimate ("streaming").
     Fairoids stay constant between refreshes and receive no gradient; the
     centroids ride in the parameter set and are updated by the same
-    optimizer as the network, whose one gradient set is allocated here and
-    refilled by every batch. The decoder is trained only when
-    recon_weight > 0; otherwise it is returned as ae_params holds it.
-    ae_params is never modified.
+    optimizer as the network, whose one gradient set and one `sgd_step`
+    scratch array are allocated here and reused by every batch. The
+    decoder is trained only when recon_weight > 0; otherwise it is
+    returned as ae_params holds it. ae_params is never modified.
     """
     X = ds.features
     N = len(X)
@@ -308,6 +310,7 @@ def train(ds, ae_params, cfg):
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()
                          if name.startswith(prefixes)), (CENTROIDS, M0)])
     velocity, grads = params.zeros_like(), params.zeros_like()
+    scratch = np.empty(params.n_params)
 
     shuffle = rng.stream("shuffle")
     history = []
@@ -341,7 +344,7 @@ def train(ds, ae_params, cfg):
                 if not np.isfinite(components["loss"]):
                     raise FloatingPointError("non-finite loss")
                 sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,
-                         MOMENTUM, velocity)
+                         MOMENTUM, velocity, scratch)
             except (ValueError, RuntimeError, FloatingPointError) as exc:
                 raise RuntimeError(f"training failed at epoch {epoch}, batch {batches} "
                                    f"(last finite mean loss {last_mean}): {exc}") from exc
@@ -377,28 +380,38 @@ def predict(model, X):
 
 
 def save_model(model, path):
+    """Write a version 2 model checkpoint: the network as a version 2
+    parameter payload, the centroids and fairoids as `pack_array` records,
+    and the config and history as plain JSON."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "network": model.params.to_payload(),
-        "centroids": model.centroids.tolist(),
-        "fairoids": model.fairoids.tolist(),
+        "centroids": pack_array(model.centroids),
+        "fairoids": pack_array(model.fairoids),
         "config": asdict(model.config),
         "history": model.history,
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
+# Model format version -> reader of its centroids and fairoids: version 1
+# stored them as nested JSON number lists.
+_MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_array}
+
+
 def load_model(path):
+    """Read a version 1 or version 2 model checkpoint."""
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError("not a fairclust model checkpoint")
-    if payload.get("version") != MODEL_VERSION:
+    read = _MATRIX_READERS.get(payload.get("version"))
+    if read is None:
         raise ValueError(f"unsupported model version {payload.get('version')}")
     return TrainedModel(
         params=ParamSet.from_payload(payload["network"]),
-        centroids=np.asarray(payload["centroids"], dtype=float),
-        fairoids=np.asarray(payload["fairoids"], dtype=float),
+        centroids=read(payload["centroids"]),
+        fairoids=read(payload["fairoids"]),
         config=TrainConfig(**payload["config"]),
         history=payload["history"],
     )

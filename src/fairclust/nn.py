@@ -11,12 +11,20 @@ into the views its caller passes, and `clip_gradients` and `sgd_step`
 update the ParamSets they are given in place, so a training loop allocates
 its gradient set once and copies a set before training it when the
 original must survive.
+
+Checkpoints are JSON. Format version 2 stores each float array as a
+`pack_array` record: base64 of its little-endian float64 bytes with its
+dtype and shape, so a round trip is exact and a load decodes the bytes
+instead of parsing decimal text. Version 1 files (JSON number lists) are
+still read; only version 2 is written.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +33,8 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu")
 
 PARAMS_FORMAT = "fairclust-params"
-PARAMS_VERSION = 1
+PARAMS_VERSION = 2
+ARRAY_DTYPE = "<f8"
 
 # Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
 # 66 MB whatever the row count.
@@ -195,30 +204,26 @@ class ParamSet:
         return self._like(vec)
 
     def to_payload(self):
+        """Version 2 checkpoint payload: the layout, then the whole buffer as
+        one `pack_array` record."""
         if any(not isinstance(l, AffineLayer) for l in self._views.values()):
             raise ValueError("checkpoints hold layers only, not bare matrix entries")
         return {
             "format": PARAMS_FORMAT,
             "version": PARAMS_VERSION,
-            "layers": [
-                {
-                    "name": name,
-                    "activation": l.activation,
-                    "shape": [l.n_in, l.n_out],
-                    "weight": l.weight.ravel().tolist(),
-                    "bias": l.bias.tolist(),
-                }
-                for name, l in self._views.items()
-            ],
+            "layers": [{"name": name, "activation": l.activation, "shape": [l.n_in, l.n_out]}
+                       for name, l in self._views.items()],
+            "buffer": pack_array(self.buffer),
         }
 
     @classmethod
     def from_payload(cls, payload):
-        """Allocates the buffer once from the recorded shapes and writes the
-        values straight into it."""
+        """Rebuilds the layout from the recorded shapes and lets the reader
+        for the payload's version fill one new buffer, which the set owns."""
         if payload.get("format") != PARAMS_FORMAT:
             raise ValueError("not a fairclust parameter checkpoint")
-        if payload.get("version") != PARAMS_VERSION:
+        read = _PARAMS_READERS.get(payload.get("version"))
+        if read is None:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
         layout, offset = {}, 0
         for rec in payload["layers"]:
@@ -227,14 +232,62 @@ class ParamSet:
                 raise ValueError(f"unknown activation {activation!r}")
             layout[rec["name"]] = (offset, (n_in, n_out), activation)
             offset += n_in * n_out + n_out
-        out = cls.__new__(cls)._attach(layout, np.empty(offset))
-        for rec in payload["layers"]:
-            layer = out[rec["name"]]
-            layer.weight.ravel()[:] = rec["weight"]
-            layer.bias[:] = rec["bias"]
+        out = cls.__new__(cls)._attach(layout, read(payload, layout, offset))
         if not np.all(np.isfinite(out.buffer)):
             raise ValueError("layer parameters must be finite")
         return out
+
+
+def _read_params_v1(payload, layout, size):
+    """Version 1: each layer's weight and bias as JSON number lists."""
+    buffer = np.empty(size)
+    for rec in payload["layers"]:
+        offset, (n_in, n_out), _ = layout[rec["name"]]
+        end = offset + n_in * n_out
+        buffer[offset:end] = rec["weight"]
+        buffer[end : end + n_out] = rec["bias"]
+    return buffer
+
+
+def _read_params_v2(payload, layout, size):
+    """Version 2: the whole buffer as one `pack_array` record."""
+    return unpack_array(payload.get("buffer"), (size,))
+
+
+_PARAMS_READERS = {1: _read_params_v1, 2: _read_params_v2}
+
+
+def pack_array(a):
+    """JSON record of a float array: base64 of its little-endian float64
+    bytes, with dtype and shape. `unpack_array` restores it bit for bit."""
+    a = np.ascontiguousarray(a, dtype=ARRAY_DTYPE)
+    return {"dtype": ARRAY_DTYPE, "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def unpack_array(record, shape=None):
+    """The float64 array of a `pack_array` record, decoded once into a new
+    writable array the caller owns. shape, when given, is the one the
+    caller expects. A record whose dtype, shape or data does not hold up is
+    a ValueError naming what is wrong."""
+    if not isinstance(record, dict):
+        raise ValueError("expected a packed array record")
+    if record.get("dtype") != ARRAY_DTYPE:
+        raise ValueError(f"unsupported array dtype {record.get('dtype')!r}")
+    stored = record.get("shape")
+    if not isinstance(stored, list) or not all(
+            isinstance(n, int) and n >= 0 for n in stored):
+        raise ValueError(f"array shape must list non-negative integers, got {stored!r}")
+    if shape is not None and tuple(stored) != tuple(shape):
+        raise ValueError(f"array shape {stored} does not match the expected {list(shape)}")
+    try:
+        raw = base64.b64decode(record.get("data"), validate=True)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"array data is not base64: {exc}") from None
+    expected = math.prod(stored) * 8
+    if len(raw) != expected:
+        raise ValueError(f"array data holds {len(raw)} bytes; shape {stored} needs {expected}")
+    return np.frombuffer(raw, dtype=ARRAY_DTYPE).reshape(stored).astype(float)
 
 
 def _entry_parts(value):
@@ -249,10 +302,12 @@ def _entry_parts(value):
 
 
 def save_params(params, path):
+    """Write params as a version 2 parameter checkpoint."""
     Path(path).write_text(json.dumps(params.to_payload()))
 
 
 def load_params(path):
+    """Read a version 1 or version 2 parameter checkpoint."""
     return ParamSet.from_payload(json.loads(Path(path).read_text()))
 
 
@@ -369,12 +424,15 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
+def sgd_step(params, grads, lr, momentum=0.0, velocity=None, scratch=None):
     """Classic momentum update, in place: v <- m*v + g; p <- p - lr*v.
 
     Updates params and velocity (made as zeros when None) in place and
     returns (params, velocity); grads must share the layout of params.
-    Raises on non-finite gradients, the usual training divergence signal.
+    lr*v is formed in scratch, a float64 array of params.n_params values
+    that a training loop allocates once and passes to every step (a new
+    one is made when None); it must not be the gradient buffer. Raises on
+    non-finite gradients, the usual training divergence signal.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
@@ -392,7 +450,7 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
     v = velocity.buffer
     v *= momentum
     v += g
-    params.buffer -= lr * v
+    params.buffer -= np.multiply(v, lr, out=scratch)
     return params, velocity
 
 

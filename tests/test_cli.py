@@ -120,6 +120,35 @@ class TestTrain:
                 == (tmp_path / "2" / "seed_2" / "model.json").read_bytes())
         assert (pre / "ae.json").read_bytes() == ae_bytes
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_seed_records_its_cause(self, synth_dir, tmp_path, monkeypatch, capsys,
+                                           threads):
+        from fairclust import model
+
+        real = model.train
+
+        def fails_for_seed_2(ds, ae_params, cfg):
+            if cfg.seed == 2:
+                raise ValueError("boom")
+            return real(ds, ae_params, cfg)
+
+        monkeypatch.setattr(model, "train", fails_for_seed_2)
+        monkeypatch.setenv("FAIRCLUST_THREADS", threads)
+        code = run_cli("train", "--data", synth_dir / "data.csv", "--normalize", "none",
+                       "--hidden", "8", "--latent", 2, "--layerwise-epochs", 2,
+                       "--global-epochs", 2, "--k", 2, "--max-epochs", 2,
+                       "--seeds", "1,2", "--out", tmp_path)
+        assert code == 2
+        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        assert agg["seeds"] == [1]
+        [failure] = agg["failures"]
+        assert failure["seed"] == 2 and failure["error"] == "ValueError: boom"
+        trace = failure["traceback"]
+        assert trace.startswith("Traceback (most recent call last):")
+        assert "in fails_for_seed_2" in trace and trace.endswith("ValueError: boom\n")
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["seed 2 failed: ValueError: boom", "1 seed(s) failed"]
+
     def test_per_seed_artifacts_and_aggregate(self, trained_dir):
         for seed in (1, 2):
             seed_dir = trained_dir / f"seed_{seed}"

@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from fairclust import data
 from fairclust.data import (
     Dataset,
     SynthSpec,
@@ -78,6 +82,78 @@ class TestLoadCsv:
         block = one_hot(codes, len(levels))
         recovered = [levels[i] for i in block.argmax(axis=1)]
         assert recovered == values
+
+
+SCHEMA_AB = {"a": "feature", "b": "feature", "g": "protected"}
+
+# Data rows under the header "a,b,g" and the error the per-cell parser
+# (`float()` on each stripped cell, row by row) raises for them, word for
+# word: the vectorized parse defers to it for every one of these files.
+REJECTED = {
+    "unparseable cell": ("1,2,u\n3,x1,v\n", "row 3, column 'b': cannot parse 'x1'"),
+    "empty cell": ("1,2,u\n,4,v\n", "row 3, column 'a': cannot parse ''"),
+    "short row": ("1,2,u\n3,4\n", "row 3: expected 3 cells, got 2"),
+    "long row": ("1,2,u\n3,4,v,5\n", "row 3: expected 3 cells, got 4"),
+    "blank data line": ("1,2,u\n\n3,4,v\n", "row 3: expected 3 cells, got 0"),
+    "trailing blank line": ("1,2,u\n3,4,v\n\n", "row 4: expected 3 cells, got 0"),
+    "nan cell": ("1,nan,u\n3,4,v\n", "row 2, column 'b': non-finite value 'nan'"),
+    "inf cell": ("1,2,u\n-inf,4,v\n", "row 3, column 'a': non-finite value '-inf'"),
+    "overflowing cell": ("1,2,u\n1e400,4,v\n", "row 3, column 'a': non-finite value '1e400'"),
+    "# inside a cell": ("1,2#3,u\n3,4,v\n", "row 2, column 'b': cannot parse '2#3'"),
+    "quoted cell with a comma": ('1,"2,5",u\n3,4,v\n', "row 2, column 'b': cannot parse '2,5'"),
+    "bad cell before a short row": ("1,zz,u\n3,4\n", "row 2, column 'b': cannot parse 'zz'"),
+    "short row before a bad cell": ("1,2\n3,zz,v\n", "row 2: expected 3 cells, got 2"),
+}
+
+FORMATS = [repr, lambda v: "%.17g" % v, lambda v: f"  {v!r} ", lambda v: f'"{v!r}"']
+
+
+class TestVectorizedParse:
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_files_keep_the_per_cell_message(self, tmp_path, case):
+        body, message = REJECTED[case]
+        path = write_csv(tmp_path, "a,b,g\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_csv(path, SCHEMA_AB)
+        assert str(info.value) == message
+
+    def test_quoted_numeric_cells_parse(self, tmp_path):
+        path = write_csv(tmp_path, 'a,b,g\n1,"2.5",u\n" 3 ",4,v\n')
+        ds = load_csv(path, SCHEMA_AB)
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.5], [3.0, 4.0]])
+
+    def test_forms_only_float_reads_are_still_accepted(self, tmp_path):
+        # np.loadtxt rejects underscores and non-ASCII digits; the per-cell
+        # scan then reads the file as float() does
+        path = write_csv(tmp_path, "a,b,g\n1_000,2,u\n3,\u0664\u0662,v\n")
+        ds = load_csv(path, SCHEMA_AB)
+        np.testing.assert_array_equal(ds.features, [[1000.0, 2.0], [3.0, 42.0]])
+
+    def test_clean_file_is_parsed_without_the_per_cell_scan(self, tmp_path, monkeypatch):
+        ds = synth_blobs(SynthSpec(n_points=50, dims=12, n_blobs=2, T=3,
+                                   correlation=0.5, seed=6))
+        save_csv(ds, tmp_path / "d.csv")
+        monkeypatch.setattr(data, "_read_columns_by_cell", mock.Mock(side_effect=AssertionError))
+        back = load_with_manifest(tmp_path / "d.csv")
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.protected, ds.protected)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 6), st.integers(1, 4), st.data())
+    def test_parse_equals_float_bit_for_bit(self, tmp_path_factory, rows, cols, draw):
+        values = [[draw.draw(st.floats(allow_nan=False, allow_infinity=False))
+                   for _ in range(cols)] for _ in range(rows)]
+        cells = [[draw.draw(st.sampled_from(FORMATS))(v) for v in row] for row in values]
+        header = ",".join(f"x{j}" for j in range(cols)) + ",g\n"
+        body = "".join(",".join(row) + f",{'uv'[i % 2]}\n" for i, row in enumerate(cells))
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(header + body, encoding="utf-8")
+        schema = {**{f"x{j}": "feature" for j in range(cols)}, "g": "protected"}
+        with mock.patch.object(data, "_read_columns_by_cell", side_effect=AssertionError):
+            ds = load_csv(path, schema)
+        expected = np.array([[float(c.strip().strip('"')) for c in row] for row in cells])
+        assert ds.features.tobytes() == expected.tobytes()
 
 
 class TestNormalize:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fairclust as fc
 from fairclust.metrics import (
@@ -228,3 +230,27 @@ class TestReport:
         rep = fc.report(model, ds)
         assert rep.acc >= 0.98
         assert rep.K == 2 and rep.T == 2
+
+
+class TestInvariantProperties:
+    @given(st.lists(st.integers(0, 50), min_size=2, max_size=8).filter(any))
+    def test_fwd_lies_in_zero_to_t_minus_one_over_t(self, counts):
+        T = len(counts)
+        value = fwd(np.array(counts, dtype=float) / sum(counts))
+        assert 0.0 <= value <= (T - 1) / T + 1e-12
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_cv_is_twice_fwd_for_binary_attributes(self, n0, n1):
+        if n0 + n1 == 0:
+            return
+        h = np.array([n0, n1], dtype=float) / (n0 + n1)
+        assert abs(cv_score(h) - 2.0 * fwd(h)) <= 1e-15
+
+    @given(st.integers(2, 6), st.data())
+    def test_acc_and_nmi_ignore_a_relabeling_of_the_clusters(self, K, data):
+        n = data.draw(st.integers(1, 60))
+        pred = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)))
+        truth = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        perm = np.array(data.draw(st.permutations(range(K))))
+        assert acc(perm[pred], truth) == acc(pred, truth)
+        assert nmi(perm[pred], truth) == pytest.approx(nmi(pred, truth), rel=1e-12, abs=1e-15)

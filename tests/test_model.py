@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fairclust as fc
 from fairclust.autoencoder import encode, init_params
@@ -29,6 +31,24 @@ from fairclust.nn import AffineLayer, ParamSet, Rng, backward, finite_diff_check
 def row_stochastic(rng, rows, cols, low=0.05):
     m = rng.uniform(low, 1.0, size=(rows, cols))
     return m / m.sum(axis=1, keepdims=True)
+
+
+class TestTargetProperties:
+    @given(st.integers(1, 12), st.integers(2, 5), st.integers(2, 4), st.integers(1, 4),
+           st.floats(0.5, 5.0), st.floats(2.0, 1e4), st.data())
+    def test_q_p_and_psi_are_row_stochastic(self, n, K, T, d, dof, beta, data):
+        def matrix(rows):
+            values = data.draw(st.lists(st.floats(-100, 100), min_size=rows * d,
+                                        max_size=rows * d))
+            return np.reshape(values, (rows, d))
+
+        Z, M, fairoids = matrix(n), matrix(K), matrix(T)
+        Q = soft_assign(Z, M, dof)
+        P = sharpen_target(Q)
+        Psi = smooth_target(soft_assign(M, fairoids, dof), beta, 1e-9)
+        for R, rows, cols in ((Q, n, K), (P, n, K), (Psi, K, T)):
+            assert R.shape == (rows, cols) and np.all(R >= 0)
+            np.testing.assert_allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSoftAssign:
@@ -513,6 +533,26 @@ class TestEpochPass:
         assert len(model.history) == 3
         # velocity and gradients
         assert len(calls) == 2
+
+    def test_one_sgd_scratch_array_per_run(self, monkeypatch):
+        import fairclust.model as model_module
+
+        ds, ae, cfg = tiny_run(recon_weight=0.5)
+        scratches = []
+        real = model_module.sgd_step
+
+        def recorded(params, grads, lr, momentum, velocity, scratch):
+            scratches.append(scratch)
+            return real(params, grads, lr, momentum, velocity, scratch)
+
+        monkeypatch.setattr(model_module, "sgd_step", recorded)
+        model = train(ds, ae, cfg)
+        # 120 rows in batches of 32, three epochs
+        assert len(scratches) == 3 * 4
+        # encoder, decoder and the (K, 2) centroids
+        assert scratches[0].shape == (ae.n_params + cfg.K * 2,)
+        assert all(s is scratches[0] for s in scratches)
+        assert model.history[-1]["epoch"] == 2
 
     @pytest.mark.parametrize("refresh", ["incore", "streaming"])
     def test_empty_protected_state_is_named_in_both_modes(self, refresh):

@@ -276,6 +276,66 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="layout"):
             sgd_step(params, grads, lr=0.1)
 
+    def test_step_through_scratch_allocates_no_parameter_sized_array(self):
+        # 1M parameters, 8 MB per float64 copy
+        params = ParamSet({"w": np.zeros((1000, 1000))})
+        grads, velocity = params.copy(), params.zeros_like()
+        grads.buffer[:] = 1.0
+        scratch = np.empty(params.n_params)
+
+        def peak(*extra):
+            tracemalloc.start()
+            try:
+                sgd_step(params, grads, 0.1, 0.9, velocity, *extra)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() >= 8_000_000
+        # what is left is the finiteness mask, one byte per parameter
+        assert peak(scratch) < 2_000_000
+        np.testing.assert_array_equal(scratch, 0.1 * velocity.buffer)
+
+    def test_pretraining_epoch_reuses_one_scratch_array(self, monkeypatch):
+        from fairclust import autoencoder
+
+        scratches = []
+        real = autoencoder.sgd_step
+
+        def recorded(params, grads, lr, momentum, velocity, scratch):
+            scratches.append(scratch)
+            return real(params, grads, lr, momentum, velocity, scratch)
+
+        monkeypatch.setattr(autoencoder, "sgd_step", recorded)
+        params = init_params((4, 3, 2), Rng(0).stream("init"))
+        X = np.random.default_rng(0).random((40, 4))
+        autoencoder._sgd_epoch(params, params.zeros_like(), X, np.arange(40), 0.01, 8, 0.0, None)
+        assert len(scratches) == 5 and all(s is scratches[0] for s in scratches)
+        assert scratches[0].shape == (params.n_params,)
+
+    def test_pretraining_frees_its_sweep_before_the_loss_pass(self, monkeypatch):
+        from fairclust import autoencoder
+
+        params = init_params((200, 300, 2), Rng(0).stream("init"))
+        velocity = params.zeros_like()
+        X = np.random.default_rng(0).random((16, 200))
+        live_at_loss = []
+        real_apply = autoencoder.apply
+
+        def traced_apply(layers, x):
+            live_at_loss.append(tracemalloc.get_traced_memory()[0])
+            return real_apply(layers, x)
+
+        monkeypatch.setattr(autoencoder, "apply", traced_apply)
+        tracemalloc.start()
+        try:
+            autoencoder._sgd_epoch(params, velocity, X, np.arange(16), 0.01, 8, 0.0, None)
+        finally:
+            tracemalloc.stop()
+        # the epoch's copies of params and velocity are live; its gradient
+        # set and sgd_step scratch (two more parameter-sized arrays) are not
+        assert live_at_loss[0] < 2.5 * params.n_params * 8
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_loss_is_exact(self):
@@ -484,6 +544,18 @@ class TestProperties:
         assert updated is params and new_velocity is velocity
         np.testing.assert_array_equal(velocity.buffer, momentum * v + g)
         np.testing.assert_array_equal(params.buffer, p - lr * (momentum * v + g))
+
+    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.data())
+    def test_step_through_scratch_equals_the_plain_step(self, params, lr, momentum, data):
+        n = params.n_params
+        vectors = st.lists(finite, min_size=n, max_size=n)
+        g, v = params.unflatten(data.draw(vectors)), np.array(data.draw(vectors))
+        plain, through = params.copy(), params.copy()
+        v_plain, v_through = params.unflatten(v), params.unflatten(v)
+        sgd_step(plain, g, lr, momentum, v_plain)
+        sgd_step(through, g, lr, momentum, v_through, np.full(n, np.nan))
+        assert through.buffer.tobytes() == plain.buffer.tobytes()
+        assert v_through.buffer.tobytes() == v_plain.buffer.tobytes()
 
     @given(st.integers(1, 6), st.floats(0.0, 0.95))
     def test_momentum_with_constant_gradient_has_closed_form(self, steps, momentum):
