@@ -322,18 +322,12 @@ def _aggregate(reports_by_seed, failures):
 def _run_seeds(ds, ae_params, opts, seeds, out):
     out.mkdir(parents=True, exist_ok=True)
     reports, failures = {}, {}
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {seed: pool.submit(_run_one_seed, ds, ae_params, opts, seed, out)
-                       for seed in seeds}
-        outcomes = [(seed, futures[seed].result) for seed in seeds]
-    else:
-        outcomes = [(seed, lambda s=seed: _run_one_seed(ds, ae_params, opts, s, out))
-                    for seed in seeds]
-    for seed, result in outcomes:
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        futures = {seed: pool.submit(_run_one_seed, ds, ae_params, opts, seed, out)
+                   for seed in seeds}
+    for seed in seeds:
         try:
-            reports[seed] = result()
+            reports[seed] = futures[seed].result()
         except Exception as exc:  # per-seed failure; the summary records it
             failures[seed] = exc
     agg = _aggregate(reports, failures)

@@ -140,17 +140,18 @@ def load_csv(path, schema):
 
     schema maps column names to roles: feature (numeric), categorical
     (one-hot expanded), label (at most one), protected (exactly one).
-    Columns absent from the schema are ignored. Features keep the file's
-    column order, not the schema's (a manifest's roles are key-sorted:
-    f0, f1, f10, ...). Missing or unparseable numeric cells are an error
-    naming the row and column.
+    Columns absent from the schema are ignored; a schema column named more
+    than once in the header is an error. Features keep the file's column
+    order, not the schema's (a manifest's roles are key-sorted: f0, f1,
+    f10, ...).
 
-    The numeric columns are parsed by one `np.loadtxt` call, which reads
-    each cell with the same float parser as `float()`. A file that call
-    rejects, or that has a non-finite value, a row of the wrong length or a
-    blank line, is scanned again cell by cell with `float()`: that scan
-    raises the error naming the row and column, or returns what `float()`
-    reads (it also accepts forms such as "1_000" that `np.loadtxt` does not).
+    The file is opened and read once. Each row's numeric cells are
+    converted by one numpy call, which parses each cell as `float()` does
+    (surrounding whitespace and CSV quotes are dropped; "1_000" and
+    non-ASCII digits are accepted). The first bad row in file order is an
+    error naming the row: a blank line, the wrong number of cells, or a
+    missing, unparseable or non-finite numeric cell, whose column is named
+    too.
     """
     path = Path(path)
     if not path.exists():
@@ -170,20 +171,21 @@ def load_csv(path, schema):
         raise ValueError("schema must name at least one feature column")
 
     with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValueError("empty CSV file")
-    missing = [c for c in schema if c not in header]
-    if missing:
-        raise ValueError(f"columns not present in the file: {missing}")
-    col_idx = {c: header.index(c) for c in schema}
-    feature_cols.sort(key=col_idx.get)
-    categorical_cols.sort(key=col_idx.get)
-    text_cols = categorical_cols + protected_cols + label_cols
-    try:
-        numeric, text = _read_columns_fast(path, header, col_idx, feature_cols, text_cols)
-    except (ValueError, csv.Error):
-        numeric, text = _read_columns_by_cell(path, header, col_idx, feature_cols, text_cols)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV file")
+        missing = [c for c in schema if c not in header]
+        if missing:
+            raise ValueError(f"columns not present in the file: {missing}")
+        repeated = [c for c in schema if header.count(c) > 1]
+        if repeated:
+            raise ValueError(f"columns named more than once in the header: {repeated}")
+        col_idx = {c: header.index(c) for c in schema}
+        feature_cols.sort(key=col_idx.get)
+        categorical_cols.sort(key=col_idx.get)
+        text_cols = categorical_cols + protected_cols + label_cols
+        numeric, text = _read_rows(reader, len(header), col_idx, feature_cols, text_cols)
     raw_cat = text[: len(categorical_cols)]
     raw_prot = text[len(categorical_cols)]
 
@@ -206,58 +208,50 @@ def load_csv(path, schema):
     return Dataset(features, protected, labels=labels, feature_names=names)
 
 
-def _data_rows(path):
-    """(row number, cells) of each record after the header."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        yield from enumerate(reader, start=2)
-
-
-def _read_columns_fast(path, header, col_idx, feature_cols, text_cols):
-    """(numeric block, stripped text columns): the text columns from one csv
-    pass, the numeric block from one `np.loadtxt` call. Raises ValueError
-    whenever the result could differ from `_read_columns_by_cell`'s."""
-    if any("\n" in c or "\r" in c for c in header):
-        raise ValueError("header spans lines")  # loadtxt's skiprows counts lines
+def _read_rows(reader, width, col_idx, feature_cols, text_cols):
+    """(numeric block, stripped text columns) from the data rows left in
+    `reader`, each row read once. Raises on the first bad row in file order;
+    only that row is scanned cell by cell, to name the column."""
+    numeric_idx = [col_idx[c] for c in feature_cols]
+    text_idx = [col_idx[c] for c in text_cols]
     text = [[] for _ in text_cols]
-    for _, row in _data_rows(path):
-        if len(row) != len(header):
-            raise ValueError("row length")
-        for cells, c in zip(text, text_cols):
-            cells.append(row[col_idx[c]].strip())
-    n_rows = len(text[0])
-    usecols = [col_idx[c] for c in feature_cols]
-    if not usecols or not n_rows:
-        return np.empty((n_rows, len(usecols))), text
-    numeric = np.loadtxt(path, dtype=float, delimiter=",", comments=None, quotechar='"',
-                         skiprows=1, usecols=usecols, ndmin=2, encoding="utf-8")
-    if numeric.shape != (n_rows, len(usecols)) or not np.all(np.isfinite(numeric)):
-        raise ValueError("numeric block disagrees with the csv pass")
-    return numeric, text
 
-
-def _read_columns_by_cell(path, header, col_idx, feature_cols, text_cols):
-    """The reference parse: `float()` on each stripped numeric cell, row by
-    row. Raises the first error in file order, naming its row and column."""
-    numeric, text = [], [[] for _ in text_cols]
-    for row_no, row in _data_rows(path):
-        if len(row) != len(header):
-            raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-        values = []
-        for c in feature_cols:
-            cell = row[col_idx[c]].strip()
+    def numeric_rows():
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ValueError(f"row {row_no}: expected {width} cells, got {len(row)}")
             try:
-                value = float(cell)
+                values = np.array([row[i] for i in numeric_idx], dtype=float)
             except ValueError:
-                raise ValueError(f"row {row_no}, column {c!r}: cannot parse {cell!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"row {row_no}, column {c!r}: non-finite value {cell!r}")
-            values.append(value)
-        numeric.append(values)
-        for cells, c in zip(text, text_cols):
-            cells.append(row[col_idx[c]].strip())
-    return np.array(numeric, dtype=float).reshape(len(numeric), len(feature_cols)), text
+                values = None
+            if values is None or not np.all(np.isfinite(values)):
+                values = _checked_cells(row_no, row, numeric_idx, feature_cols)
+            for cells, i in zip(text, text_idx):
+                cells.append(row[i].strip())
+            yield values
+
+    if not numeric_idx:  # np.fromiter takes no zero-width rows
+        for _ in numeric_rows():
+            pass
+        return np.empty((len(text[0]), 0)), text
+    # one growing buffer: stacking per-row arrays fragments the heap
+    return np.fromiter(numeric_rows(), dtype=np.dtype((float, len(numeric_idx)))), text
+
+
+def _checked_cells(row_no, row, numeric_idx, feature_cols):
+    """`float()` on each stripped numeric cell of one row. Raises the first
+    error, naming the row and column."""
+    values = []
+    for i, c in zip(numeric_idx, feature_cols):
+        cell = row[i].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"row {row_no}, column {c!r}: cannot parse {cell!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"row {row_no}, column {c!r}: non-finite value {cell!r}")
+        values.append(value)
+    return values
 
 
 def normalize(ds, mode="minmax"):
@@ -406,4 +400,12 @@ def load_with_manifest(csv_path):
             f"no manifest next to {csv_path}; pass the schema explicitly"
         )
     manifest = json.loads(manifest_path.read_text())
-    return load_csv(csv_path, manifest["column_roles"])
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise ValueError(f"{manifest_path}: schema_version must be {MANIFEST_VERSION}, "
+                         f"got {version!r}")
+    roles = manifest.get("column_roles")
+    if not isinstance(roles, dict):
+        raise ValueError(f"{manifest_path}: column_roles must map column names to roles, "
+                         f"got {roles!r}")
+    return load_csv(csv_path, roles)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from fairclust import data
 from fairclust.data import (
     Dataset,
     SynthSpec,
@@ -86,23 +86,30 @@ class TestLoadCsv:
 
 SCHEMA_AB = {"a": "feature", "b": "feature", "g": "protected"}
 
-# Data rows under the header "a,b,g" and the error the per-cell parser
-# (`float()` on each stripped cell, row by row) raises for them, word for
-# word: the vectorized parse defers to it for every one of these files.
+# Files read with SCHEMA_AB and the error each raises, word for word: the
+# first bad row in file order, and for a bad cell the column that `float()`
+# on the stripped cell rejects.
 REJECTED = {
-    "unparseable cell": ("1,2,u\n3,x1,v\n", "row 3, column 'b': cannot parse 'x1'"),
-    "empty cell": ("1,2,u\n,4,v\n", "row 3, column 'a': cannot parse ''"),
-    "short row": ("1,2,u\n3,4\n", "row 3: expected 3 cells, got 2"),
-    "long row": ("1,2,u\n3,4,v,5\n", "row 3: expected 3 cells, got 4"),
-    "blank data line": ("1,2,u\n\n3,4,v\n", "row 3: expected 3 cells, got 0"),
-    "trailing blank line": ("1,2,u\n3,4,v\n\n", "row 4: expected 3 cells, got 0"),
-    "nan cell": ("1,nan,u\n3,4,v\n", "row 2, column 'b': non-finite value 'nan'"),
-    "inf cell": ("1,2,u\n-inf,4,v\n", "row 3, column 'a': non-finite value '-inf'"),
-    "overflowing cell": ("1,2,u\n1e400,4,v\n", "row 3, column 'a': non-finite value '1e400'"),
-    "# inside a cell": ("1,2#3,u\n3,4,v\n", "row 2, column 'b': cannot parse '2#3'"),
-    "quoted cell with a comma": ('1,"2,5",u\n3,4,v\n', "row 2, column 'b': cannot parse '2,5'"),
-    "bad cell before a short row": ("1,zz,u\n3,4\n", "row 2, column 'b': cannot parse 'zz'"),
-    "short row before a bad cell": ("1,2\n3,zz,v\n", "row 2: expected 3 cells, got 2"),
+    "unparseable cell": ("a,b,g\n1,2,u\n3,x1,v\n", "row 3, column 'b': cannot parse 'x1'"),
+    "empty cell": ("a,b,g\n1,2,u\n,4,v\n", "row 3, column 'a': cannot parse ''"),
+    "short row": ("a,b,g\n1,2,u\n3,4\n", "row 3: expected 3 cells, got 2"),
+    "long row": ("a,b,g\n1,2,u\n3,4,v,5\n", "row 3: expected 3 cells, got 4"),
+    "blank data line": ("a,b,g\n1,2,u\n\n3,4,v\n", "row 3: expected 3 cells, got 0"),
+    "trailing blank line": ("a,b,g\n1,2,u\n3,4,v\n\n", "row 4: expected 3 cells, got 0"),
+    "nan cell": ("a,b,g\n1,nan,u\n3,4,v\n", "row 2, column 'b': non-finite value 'nan'"),
+    "inf cell": ("a,b,g\n1,2,u\n-inf,4,v\n", "row 3, column 'a': non-finite value '-inf'"),
+    "overflowing cell": ("a,b,g\n1,2,u\n1e400,4,v\n",
+                         "row 3, column 'a': non-finite value '1e400'"),
+    "# inside a cell": ("a,b,g\n1,2#3,u\n3,4,v\n", "row 2, column 'b': cannot parse '2#3'"),
+    "quoted cell with a comma": ('a,b,g\n1,"2,5",u\n3,4,v\n',
+                                 "row 2, column 'b': cannot parse '2,5'"),
+    "bad cell before a short row": ("a,b,g\n1,zz,u\n3,4\n",
+                                    "row 2, column 'b': cannot parse 'zz'"),
+    "short row before a bad cell": ("a,b,g\n1,2\n3,zz,v\n", "row 2: expected 3 cells, got 2"),
+    "non-finite cell before a short row": ("a,b,g\n1,nan,u\n3,4\n",
+                                           "row 2, column 'b': non-finite value 'nan'"),
+    "schema column twice in the header": ("a,b,a,g\n1,2,3,u\n4,5,6,v\n",
+                                          "columns named more than once in the header: ['a']"),
 }
 
 FORMATS = [repr, lambda v: "%.17g" % v, lambda v: f"  {v!r} ", lambda v: f'"{v!r}"']
@@ -111,8 +118,8 @@ FORMATS = [repr, lambda v: "%.17g" % v, lambda v: f"  {v!r} ", lambda v: f'"{v!r
 class TestVectorizedParse:
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_rejected_files_keep_the_per_cell_message(self, tmp_path, case):
-        body, message = REJECTED[case]
-        path = write_csv(tmp_path, "a,b,g\n" + body)
+        text, message = REJECTED[case]
+        path = write_csv(tmp_path, text)
         with pytest.raises(ValueError) as info:
             load_csv(path, SCHEMA_AB)
         assert str(info.value) == message
@@ -123,18 +130,32 @@ class TestVectorizedParse:
         np.testing.assert_array_equal(ds.features, [[1.0, 2.5], [3.0, 4.0]])
 
     def test_forms_only_float_reads_are_still_accepted(self, tmp_path):
-        # np.loadtxt rejects underscores and non-ASCII digits; the per-cell
-        # scan then reads the file as float() does
+        # underscores and non-ASCII digits read as float() reads them
         path = write_csv(tmp_path, "a,b,g\n1_000,2,u\n3,\u0664\u0662,v\n")
         ds = load_csv(path, SCHEMA_AB)
         np.testing.assert_array_equal(ds.features, [[1000.0, 2.0], [3.0, 42.0]])
 
-    def test_clean_file_is_parsed_without_the_per_cell_scan(self, tmp_path, monkeypatch):
+    def test_quoted_header_cell_spanning_lines(self, tmp_path):
+        path = write_csv(tmp_path, 'a,b,g,"long\nnote"\n1,2,u,x\n3,4,v,y\n')
+        ds = load_csv(path, SCHEMA_AB)
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.protected, [0, 1])
+
+    def test_clean_file_is_opened_once_without_loadtxt(self, tmp_path, monkeypatch):
         ds = synth_blobs(SynthSpec(n_points=50, dims=12, n_blobs=2, T=3,
                                    correlation=0.5, seed=6))
         save_csv(ds, tmp_path / "d.csv")
-        monkeypatch.setattr(data, "_read_columns_by_cell", mock.Mock(side_effect=AssertionError))
-        back = load_with_manifest(tmp_path / "d.csv")
+        schema = json.loads((tmp_path / "d.manifest.json").read_text())["column_roles"]
+        opened, real_open = [], Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
+        back = load_csv(tmp_path / "d.csv", schema)
+        assert opened == [tmp_path / "d.csv"]
         assert back.features.tobytes() == ds.features.tobytes()
         np.testing.assert_array_equal(back.protected, ds.protected)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -150,8 +171,7 @@ class TestVectorizedParse:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(header + body, encoding="utf-8")
         schema = {**{f"x{j}": "feature" for j in range(cols)}, "g": "protected"}
-        with mock.patch.object(data, "_read_columns_by_cell", side_effect=AssertionError):
-            ds = load_csv(path, schema)
+        ds = load_csv(path, schema)
         expected = np.array([[float(c.strip().strip('"')) for c in row] for row in cells])
         assert ds.features.tobytes() == expected.tobytes()
 
@@ -324,6 +344,21 @@ class TestExport:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.protected, ds.protected)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("field, value", [("column_roles", None), ("schema_version", 99)])
+    def test_bad_manifest_names_file_and_field(self, tmp_path, field, value):
+        ds = synth_blobs(SynthSpec(n_points=20, dims=2, n_blobs=2, T=2,
+                                   correlation=0.8, seed=4))
+        manifest_path = save_csv(ds, tmp_path / "d.csv")
+        manifest = json.loads(manifest_path.read_text())
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as info:
+            load_with_manifest(tmp_path / "d.csv")
+        assert str(manifest_path) in str(info.value) and field in str(info.value)
 
     def test_manifest_required_when_schema_absent(self, tmp_path):
         path = tmp_path / "x.csv"
