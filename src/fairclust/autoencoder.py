@@ -99,18 +99,16 @@ def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
 
 
 def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream):
-    """The epoch's minibatch updates, in place. One gradient set and one
-    `sgd_step` scratch array serve every minibatch (`backward` overwrites
-    all of the gradient set each step); both are freed on return, before
-    the full-data loss pass, so they do not add to its peak memory."""
+    """The epoch's minibatch updates, in place. One gradient set serves
+    every minibatch (`backward` overwrites all of it each step); it is freed
+    on return, so the full-data loss pass after it does not hold it."""
     grads = params.zeros_like()
-    scratch = np.empty(params.n_params)
     layers, grad_layers = params.layers(), grads.layers()
     for start in range(0, len(X), batch):
         xb = X[order[start : start + batch]]
         out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
         backward(tape, squared_error_grad(out, xb), grad_layers)
-        sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity, scratch)
+        sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity)
 
 
 def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):

@@ -366,15 +366,12 @@ def save_csv(ds, path):
         roles["label"] = "label"
     header.append("protected")
     roles["protected"] = "protected"
+    # data rows need no quoting: one format writes each as csv.writer would
+    row_format = ",".join(["%r"] * ds.d + ["%d"] * (len(header) - ds.d)) + "\r\n"
+    ints = [a.tolist() for a in (ds.labels, ds.protected) if a is not None]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            row.append(str(int(ds.protected[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.writelines(row_format % (*row, *tail) for row, *tail in zip(ds.features.tolist(), *ints))
     manifest = {
         "schema_version": MANIFEST_VERSION,
         "n": ds.n,
@@ -399,7 +396,10 @@ def load_with_manifest(csv_path):
         raise FileNotFoundError(
             f"no manifest next to {csv_path}; pass the schema explicitly"
         )
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from exc
     version = manifest.get("schema_version") if isinstance(manifest, dict) else None
     if version != MANIFEST_VERSION:
         raise ValueError(f"{manifest_path}: schema_version must be {MANIFEST_VERSION}, "

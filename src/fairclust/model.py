@@ -289,8 +289,7 @@ def train(ds, ae_params, cfg):
     ("incore") or a minibatch least-squares estimate ("streaming").
     Fairoids stay constant between refreshes and receive no gradient; the
     centroids ride in the parameter set and are updated by the same
-    optimizer as the network, whose one gradient set and one `sgd_step`
-    scratch array are allocated here and reused by every batch. The
+    optimizer as the network, with one gradient set for every batch. The
     decoder is trained only when recon_weight > 0; otherwise it is
     returned as ae_params holds it. ae_params is never modified.
     """
@@ -310,7 +309,6 @@ def train(ds, ae_params, cfg):
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()
                          if name.startswith(prefixes)), (CENTROIDS, M0)])
     velocity, grads = params.zeros_like(), params.zeros_like()
-    scratch = np.empty(params.n_params)
 
     shuffle = rng.stream("shuffle")
     history = []
@@ -344,7 +342,7 @@ def train(ds, ae_params, cfg):
                 if not np.isfinite(components["loss"]):
                     raise FloatingPointError("non-finite loss")
                 sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,
-                         MOMENTUM, velocity, scratch)
+                         MOMENTUM, velocity)
             except (ValueError, RuntimeError, FloatingPointError) as exc:
                 raise RuntimeError(f"training failed at epoch {epoch}, batch {batches} "
                                    f"(last finite mean loss {last_mean}): {exc}") from exc

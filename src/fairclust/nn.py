@@ -4,18 +4,18 @@ named deterministic random streams, and a finite-difference gradient checker.
 Tensors are plain float64 numpy arrays in row-major order; a data matrix is
 (n_rows, n_features). A ParamSet keeps all of its entries in one contiguous
 buffer, and its layers are views into that buffer; a gradient is a second
-ParamSet with the same layout. `forward` keeps a tape for `backward`;
-`apply`, for inference, keeps none and runs in row chunks. Both return new
-arrays and leave their inputs alone. `backward` writes the layer gradients
-into the views its caller passes, and `clip_gradients` and `sgd_step`
-update the ParamSets they are given in place, so a training loop allocates
-its gradient set once and copies a set before training it when the
-original must survive.
+ParamSet with the same layout. A layer step makes one new array, its
+output. `forward` keeps a tape of layer inputs and outputs for `backward`;
+`apply`, for inference, keeps none and runs in row chunks. `backward`
+writes the layer gradients into the views its caller passes, and
+`clip_gradients` and `sgd_step` (block by block) update the ParamSets they
+are given in place, so a training loop allocates its gradient set once and
+copies a set before training it when the original must survive.
 
 Checkpoints are JSON. Format version 2 stores each float array as a
 `pack_array` record: base64 of its little-endian float64 bytes with its
-dtype and shape, so a round trip is exact and a load decodes the bytes
-instead of parsing decimal text. Version 1 files (JSON number lists) are
+dtype and shape, so a round trip is exact and a load decodes the text, in
+slices, straight into the array. Version 1 files (JSON number lists) are
 still read; only version 2 is written.
 """
 
@@ -39,6 +39,12 @@ ARRAY_DTYPE = "<f8"
 # Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
 # 66 MB whatever the row count.
 APPLY_ROWS = 4096
+
+# Values per `sgd_step` block: its one temporary, lr * v, stays at 256 KB.
+SGD_BLOCK = 32768
+# Base64 characters per `unpack_array` slice, a multiple of 4. A slice in
+# flight holds 2.75 times this: its text, its ASCII bytes and its bytes.
+DECODE_CHARS = 1 << 18
 
 
 class Rng:
@@ -266,10 +272,10 @@ def pack_array(a):
 
 
 def unpack_array(record, shape=None):
-    """The float64 array of a `pack_array` record, decoded once into a new
-    writable array the caller owns. shape, when given, is the one the
-    caller expects. A record whose dtype, shape or data does not hold up is
-    a ValueError naming what is wrong."""
+    """The float64 array of a `pack_array` record, decoded in slices into
+    the one new writable array it returns, which the caller owns. shape,
+    when given, is the one the caller expects. A record whose dtype, shape
+    or data does not hold up is a ValueError naming what is wrong."""
     if not isinstance(record, dict):
         raise ValueError("expected a packed array record")
     if record.get("dtype") != ARRAY_DTYPE:
@@ -280,14 +286,28 @@ def unpack_array(record, shape=None):
         raise ValueError(f"array shape must list non-negative integers, got {stored!r}")
     if shape is not None and tuple(stored) != tuple(shape):
         raise ValueError(f"array shape {stored} does not match the expected {list(shape)}")
+    data, size = record.get("data"), math.prod(stored) * 8
+    if (isinstance(data, str) and len(data) == -(-size // 3) * 4
+            and data.find("=", 0, len(data) - 2) < 0):  # padding only at the end
+        out, at = np.empty(stored, dtype=ARRAY_DTYPE), 0
+        dest = out.reshape(-1).view(np.uint8)
+        try:
+            for start in range(0, len(data), DECODE_CHARS):
+                part = base64.b64decode(data[start : start + DECODE_CHARS], validate=True)
+                dest[at : at + len(part)] = np.frombuffer(part, dtype=np.uint8)
+                at += len(part)
+        except ValueError:  # not base64, or more bytes than dest holds
+            at = -1
+        if at == size:
+            return out
+    # anything else is decoded whole, as it was written, to name the fault
     try:
-        raw = base64.b64decode(record.get("data"), validate=True)
+        raw = base64.b64decode(data, validate=True)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"array data is not base64: {exc}") from None
-    expected = math.prod(stored) * 8
-    if len(raw) != expected:
-        raise ValueError(f"array data holds {len(raw)} bytes; shape {stored} needs {expected}")
-    return np.frombuffer(raw, dtype=ARRAY_DTYPE).reshape(stored).astype(float)
+    if len(raw) != size:
+        raise ValueError(f"array data holds {len(raw)} bytes; shape {stored} needs {size}")
+    return np.frombuffer(raw, dtype=ARRAY_DTYPE).reshape(stored).copy()
 
 
 def _entry_parts(value):
@@ -313,10 +333,10 @@ def load_params(path):
 
 @dataclass
 class Tape:
-    """Record of one forward pass, sufficient for reverse mode."""
+    """Record of one forward pass for reverse mode: each layer's input and output."""
 
     layers: list
-    steps: list = field(default_factory=list)  # (layer input, pre-activation) pairs
+    steps: list = field(default_factory=list)  # (layer input, layer output) pairs
 
 
 def _matrix(x):
@@ -327,13 +347,14 @@ def _matrix(x):
 
 
 def _layer_step(i, layer, h):
-    """(pre-activation, output) of layer i on input h."""
+    """Output of layer i on input h: one new array, biased and rectified in place."""
     if h.shape[1] != layer.n_in:
         raise ValueError(
             f"layer {i}: input width {h.shape[1]} does not match weight rows {layer.n_in}"
         )
-    pre = h @ layer.weight + layer.bias
-    return pre, np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+    out = h @ layer.weight
+    out += layer.bias
+    return np.maximum(out, 0.0, out=out) if layer.activation == "relu" else out
 
 
 def forward(layers, x, noise=0.0, rng=None):
@@ -342,7 +363,8 @@ def forward(layers, x, noise=0.0, rng=None):
     When noise > 0 the input is corrupted with inverted dropout: each unit
     is zeroed independently with probability `noise` and survivors are
     scaled by 1/(1-noise), so evaluation needs no rescaling. Corruption is
-    only applied when a rate is passed (training mode).
+    only applied when a rate is passed (training mode). The tape holds
+    each layer's (input, output); the last output is the array returned.
     """
     x = _matrix(x)
     if noise:
@@ -354,8 +376,8 @@ def forward(layers, x, noise=0.0, rng=None):
     steps = []
     h = x
     for i, layer in enumerate(layers):
-        pre, out = _layer_step(i, layer, h)
-        steps.append((h, pre))
+        out = _layer_step(i, layer, h)
+        steps.append((h, out))
         h = out
     return h, Tape(layers=list(layers), steps=steps)
 
@@ -369,7 +391,7 @@ def apply(layers, x):
     for start in range(0, max(len(x), 1), APPLY_ROWS):
         h = x[start : start + APPLY_ROWS]
         for i, layer in enumerate(layers):
-            _, h = _layer_step(i, layer, h)
+            h = _layer_step(i, layer, h)
         chunks.append(h)
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
@@ -382,6 +404,7 @@ def backward(tape, upstream, out, input_grad=False):
     they held. Returns the gradient with respect to the input the tape
     recorded (after any dropout corruption) when input_grad is set; else
     the first layer's `g @ weight.T` is not formed and None is returned.
+    relu's mask is read as `output > 0`, the same booleans as `pre > 0`.
     """
     g = np.asarray(upstream, dtype=float)
     if not tape.steps:
@@ -393,9 +416,9 @@ def backward(tape, upstream, out, input_grad=False):
         raise ValueError("upstream gradient shape does not match the traced output")
     for i in range(len(tape.layers) - 1, -1, -1):
         layer = tape.layers[i]
-        h_in, pre = tape.steps[i]
+        h_in, h_out = tape.steps[i]
         if layer.activation == "relu":
-            g = g * (pre > 0)
+            g = g * (h_out > 0)
         np.matmul(h_in.T, g, out=out[i].weight)
         g.sum(axis=0, out=out[i].bias)
         if i or input_grad:
@@ -424,15 +447,14 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def sgd_step(params, grads, lr, momentum=0.0, velocity=None, scratch=None):
+def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
     """Classic momentum update, in place: v <- m*v + g; p <- p - lr*v.
 
     Updates params and velocity (made as zeros when None) in place and
-    returns (params, velocity); grads must share the layout of params.
-    lr*v is formed in scratch, a float64 array of params.n_params values
-    that a training loop allocates once and passes to every step (a new
-    one is made when None); it must not be the gradient buffer. Raises on
-    non-finite gradients, the usual training divergence signal.
+    returns (params, velocity); grads must share the layout of params. It
+    runs SGD_BLOCK values at a time, so lr*v is never parameter-sized.
+    Raises on non-finite gradients, the usual training divergence signal,
+    before any value is written.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
@@ -441,16 +463,18 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None, scratch=None):
     if grads._layout is not params._layout and grads._layout != params._layout:
         raise ValueError("gradient layout does not match the parameters")
     g = grads.buffer
-    if not np.all(np.isfinite(g)):
+    blocks = [slice(start, start + SGD_BLOCK) for start in range(0, g.size, SGD_BLOCK)]
+    if not all(np.isfinite(g[b]).all() for b in blocks):
         first = int(np.argmin(np.isfinite(g)))
         name = [n for n, (offset, _, _) in grads._layout.items() if offset <= first][-1]
         raise RuntimeError(f"non-finite gradient for entry {name!r}")
     if velocity is None:
         velocity = params.zeros_like()
-    v = velocity.buffer
-    v *= momentum
-    v += g
-    params.buffer -= np.multiply(v, lr, out=scratch)
+    for b in blocks:
+        v = velocity.buffer[b]
+        v *= momentum
+        v += g[b]
+        params.buffer[b] -= v * lr
     return params, velocity
 
 

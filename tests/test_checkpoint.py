@@ -1,15 +1,18 @@
 """Checkpoint format: version 2 packs float arrays as base64 float64 bytes;
 version 1 files (JSON number lists) are still read."""
 
+import base64
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairclust import cli, model
+from fairclust import cli, model, nn
 from fairclust.nn import (
     AffineLayer,
     ParamSet,
@@ -102,11 +105,25 @@ def layer_sets(draw):
 
 
 class TestVersion2RoundTrip:
-    @given(st.lists(floats, max_size=24), st.integers(1, 4))
-    def test_packed_array_round_trip_is_bit_exact(self, values, cols):
+    @given(st.lists(floats, max_size=24), st.integers(1, 4),
+           st.sampled_from([4, 8, 12, nn.DECODE_CHARS]))
+    def test_packed_array_round_trip_is_bit_exact(self, values, cols, slice_chars):
         array = np.array(values[: len(values) // cols * cols], dtype=float).reshape(-1, cols)
-        back = unpack_array(packed_json(array))
+        with mock.patch.object(nn, "DECODE_CHARS", slice_chars):
+            back = unpack_array(packed_json(array))
         assert bit_equal(back, array) and owns_writable(back)
+
+    def test_decode_holds_one_slice_beside_the_array(self):
+        # 1M values: 8 MB of array, 10.7 MB of base64 text
+        record = packed_json(np.random.default_rng(0).standard_normal(1_000_000))
+        tracemalloc.start()
+        try:
+            back = unpack_array(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000 + nn.DECODE_CHARS + 1_000_000
+        assert owns_writable(back) and back.tobytes() == base64.b64decode(record["data"])
 
     def test_edge_values_survive(self):
         array = np.array(EDGE_VALUES)
@@ -158,6 +175,29 @@ class TestVersion2Errors:
         rec["data"] = data
         with pytest.raises(ValueError, match="array data is not base64"):
             unpack_array(rec)
+
+    @pytest.mark.parametrize("data", [
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",  # 3 values
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        "AA==AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",  # padding early
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA=",
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA!AAAAAAAAAAAAAAAAAAAAAAAA",
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAÄÄ",
+        b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", 7,
+    ])
+    def test_slices_change_no_outcome(self, data):
+        # one decode of the whole text is the reference: slices of 4 or 8
+        # characters accept what it accepts and fail with its message
+        def outcome():
+            try:
+                return unpack_array({**self.record(), "data": data}).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        whole = outcome()
+        for slice_chars in (4, 8):
+            with mock.patch.object(nn, "DECODE_CHARS", slice_chars):
+                assert outcome() == whole
 
     def test_wrong_dtype_and_shape(self):
         rec = self.record()

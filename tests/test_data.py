@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 from unittest import mock
@@ -359,6 +361,31 @@ class TestExport:
         with pytest.raises(ValueError) as info:
             load_with_manifest(tmp_path / "d.csv")
         assert str(manifest_path) in str(info.value) and field in str(info.value)
+
+    def test_manifest_that_is_not_json_names_its_path(self, tmp_path):
+        ds = synth_blobs(SynthSpec(n_points=20, dims=2, n_blobs=2, T=2,
+                                   correlation=0.8, seed=4))
+        manifest_path = save_csv(ds, tmp_path / "d.csv")
+        manifest_path.write_text("{bad")
+        with pytest.raises(ValueError, match="not valid JSON") as info:
+            load_with_manifest(tmp_path / "d.csv")
+        assert str(info.value).startswith(str(manifest_path))
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    @pytest.mark.parametrize("labels", [None, [3, 0, 1]])
+    def test_csv_bytes_equal_the_per_cell_writer(self, tmp_path, labels):
+        features = [[-0.0, 1e-300, 1e16], [0.1, -2.5, 5e-324], [1.7976931348623157e308, 3.0, -1e-7]]
+        ds = Dataset(features, [0, 1, 1], labels=labels, feature_names=("a b", "c,d", 'e"f'))
+        save_csv(ds, tmp_path / "d.csv")
+        # the reference: every cell through csv.writer, as repr or int text
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow([*ds.feature_names, *(["label"] if labels else []), "protected"])
+        for i in range(ds.n):
+            writer.writerow([repr(float(v)) for v in ds.features[i]]
+                            + ([str(int(ds.labels[i]))] if labels else [])
+                            + [str(int(ds.protected[i]))])
+        assert (tmp_path / "d.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_manifest_required_when_schema_absent(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -534,26 +534,6 @@ class TestEpochPass:
         # velocity and gradients
         assert len(calls) == 2
 
-    def test_one_sgd_scratch_array_per_run(self, monkeypatch):
-        import fairclust.model as model_module
-
-        ds, ae, cfg = tiny_run(recon_weight=0.5)
-        scratches = []
-        real = model_module.sgd_step
-
-        def recorded(params, grads, lr, momentum, velocity, scratch):
-            scratches.append(scratch)
-            return real(params, grads, lr, momentum, velocity, scratch)
-
-        monkeypatch.setattr(model_module, "sgd_step", recorded)
-        model = train(ds, ae, cfg)
-        # 120 rows in batches of 32, three epochs
-        assert len(scratches) == 3 * 4
-        # encoder, decoder and the (K, 2) centroids
-        assert scratches[0].shape == (ae.n_params + cfg.K * 2,)
-        assert all(s is scratches[0] for s in scratches)
-        assert model.history[-1]["epoch"] == 2
-
     @pytest.mark.parametrize("refresh", ["incore", "streaming"])
     def test_empty_protected_state_is_named_in_both_modes(self, refresh):
         spec = fc.SynthSpec(n_points=60, dims=4, n_blobs=2, T=2, correlation=0.9, seed=0)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestForward:
         out2, _ = forward([layer], x, noise=0.3, rng=Rng(9).stream("dropout"))
         np.testing.assert_array_equal(out1, out2)
 
+    def test_tape_holds_each_layers_input_and_output(self):
+        params = random_params(np.random.default_rng(4), dims=(5, 7, 6, 3))
+        x = np.random.default_rng(5).standard_normal((9, 5))
+        out, tape = forward(params.layers(), x)
+        assert tape.steps[0][0] is x
+        for (_, h_out), (h_in, _) in zip(tape.steps, tape.steps[1:]):
+            assert h_in is h_out
+        assert tape.steps[-1][1] is out
+        # relu outputs are clamped: the tape keeps no pre-activation
+        assert all(np.all(h_out >= 0) for (_, h_out), layer in zip(tape.steps, tape.layers)
+                   if layer.activation == "relu")
+
 
 class TestApply:
     @settings(max_examples=40, deadline=None)
@@ -123,6 +136,20 @@ class TestApply:
         # the tape alone holds 4 activations of 1000 x 256 float64 (8 MB)
         assert peak(lambda: encode(params, x)) < peak(
             lambda: forward(params.layers("enc"), x)) / 10
+
+    def test_layer_step_makes_one_activation_sized_array(self):
+        # each layer step forms its product and adds the bias and the relu
+        # in place: the 2048-wide layer costs one 1000 x 2048 float64 array
+        # (16.4 MB) on top of its 1000 x 256 input, not three
+        params = init_params((16, 256, 2048, 2), Rng(0).stream("init"))
+        x = np.random.default_rng(1).random((1000, 16))
+        tracemalloc.start()
+        try:
+            encode(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1000 * 2048 * 8
 
 
 class TestBackward:
@@ -216,7 +243,8 @@ class TestBackward:
         upstream = rng.standard_normal(out.shape)
         # the reference: every product formed from the tape, as new arrays
         g, expected = upstream, []
-        for layer, (h_in, pre) in reversed(list(zip(tape.layers, tape.steps))):
+        for layer, (h_in, _) in reversed(list(zip(tape.layers, tape.steps))):
+            pre = h_in @ layer.weight + layer.bias
             if layer.activation == "relu":
                 g = g * (pre > 0)
             expected.append((h_in.T @ g, g.sum(axis=0)))
@@ -276,43 +304,69 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="layout"):
             sgd_step(params, grads, lr=0.1)
 
-    def test_step_through_scratch_allocates_no_parameter_sized_array(self):
-        # 1M parameters, 8 MB per float64 copy
-        params = ParamSet({"w": np.zeros((1000, 1000))})
-        grads, velocity = params.copy(), params.zeros_like()
-        grads.buffer[:] = 1.0
-        scratch = np.empty(params.n_params)
+    def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch):
+        monkeypatch.setattr(nn, "SGD_BLOCK", 2)
+        params = ParamSet({"w": np.ones((1, 5))})
+        grads, velocity = params.copy(), params.copy()
+        grads.buffer[-1] = np.inf
+        with pytest.raises(RuntimeError, match="non-finite gradient for entry 'w'"):
+            sgd_step(params, grads, 0.1, 0.9, velocity)
+        assert np.all(params.buffer == 1.0) and np.all(velocity.buffer == 1.0)
 
-        def peak(*extra):
+    def test_steps_allocate_no_parameter_sized_array(self, monkeypatch):
+        from fairclust import autoencoder, model
+        from fairclust.data import Dataset
+
+        def step_peak(*args):
             tracemalloc.start()
             try:
-                sgd_step(params, grads, 0.1, 0.9, velocity, *extra)
+                sgd_step(*args)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak() >= 8_000_000
-        # what is left is the finiteness mask, one byte per parameter
-        assert peak(scratch) < 2_000_000
-        np.testing.assert_array_equal(scratch, 0.1 * velocity.buffer)
+        # 1M parameters, 8 MB per float64 copy; the step's one temporary
+        # is a block of lr * v and its finiteness mask
+        params = ParamSet({"w": np.zeros((1000, 1000))})
+        grads, velocity = params.copy(), params.zeros_like()
+        grads.buffer[:] = 1.0
+        assert step_peak(params, grads, 0.1, 0.9, velocity) < 1_000_000
+        np.testing.assert_array_equal(params.buffer, -0.1 * velocity.buffer)
 
-    def test_pretraining_epoch_reuses_one_scratch_array(self, monkeypatch):
-        from fairclust import autoencoder
+        # in the training loops, from the end of one step to the end of the
+        # next, memory never rises by a parameter-sized array: batches of 8
+        # rows through 300-wide layers are small next to 1.4 MB of parameters
+        growth, ends = [], []
 
-        scratches = []
-        real = autoencoder.sgd_step
+        def traced(*args):
+            out = sgd_step(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            if ends:
+                growth.append(peak - ends[-1])
+            ends.append(current)
+            tracemalloc.reset_peak()
+            return out
 
-        def recorded(params, grads, lr, momentum, velocity, scratch):
-            scratches.append(scratch)
-            return real(params, grads, lr, momentum, velocity, scratch)
-
-        monkeypatch.setattr(autoencoder, "sgd_step", recorded)
-        params = init_params((4, 3, 2), Rng(0).stream("init"))
-        X = np.random.default_rng(0).random((40, 4))
-        autoencoder._sgd_epoch(params, params.zeros_like(), X, np.arange(40), 0.01, 8, 0.0, None)
-        assert len(scratches) == 5 and all(s is scratches[0] for s in scratches)
-        assert scratches[0].shape == (params.n_params,)
-
+        monkeypatch.setattr(autoencoder, "sgd_step", traced)
+        monkeypatch.setattr(model, "sgd_step", traced)
+        ae = init_params((300, 300, 2), Rng(0).stream("init"))
+        X = np.random.default_rng(0).random((40, 300))
+        ds = Dataset(X, np.arange(40) % 2)
+        cfg = model.TrainConfig(K=2, gamma=1.0, recon_weight=0.5, max_epochs=2,
+                                convergence_tol=0.0, batch=8)
+        tracemalloc.start()
+        try:
+            autoencoder._minibatch_sweep(ae.copy(), ae.zeros_like(), X, np.arange(40), 0.01, 8,
+                                         0.2, Rng(0).stream("dropout"))
+            sweep_steps = len(growth)
+            ends.clear()
+            model.train(ds, ae, cfg)
+        finally:
+            tracemalloc.stop()
+        # 40 rows in batches of 8: 5 steps per sweep and per training epoch
+        assert sweep_steps == 5 - 1 and len(growth) - sweep_steps == 2 * 5 - 1
+        # the autoencoder's size; the trained set adds the (2, 2) centroids
+        assert max(growth) < ae.n_params * 8
     def test_pretraining_frees_its_sweep_before_the_loss_pass(self, monkeypatch):
         from fairclust import autoencoder
 
@@ -333,7 +387,7 @@ class TestSgdStep:
         finally:
             tracemalloc.stop()
         # the epoch's copies of params and velocity are live; its gradient
-        # set and sgd_step scratch (two more parameter-sized arrays) are not
+        # set (one more parameter-sized array) is not
         assert live_at_loss[0] < 2.5 * params.n_params * 8
 
 
@@ -545,17 +599,20 @@ class TestProperties:
         np.testing.assert_array_equal(velocity.buffer, momentum * v + g)
         np.testing.assert_array_equal(params.buffer, p - lr * (momentum * v + g))
 
-    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.data())
-    def test_step_through_scratch_equals_the_plain_step(self, params, lr, momentum, data):
+    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.integers(1, 8),
+           st.data())
+    def test_blocked_step_equals_the_whole_buffer_step(self, params, lr, momentum, block,
+                                                       data):
         n = params.n_params
         vectors = st.lists(finite, min_size=n, max_size=n)
         g, v = params.unflatten(data.draw(vectors)), np.array(data.draw(vectors))
-        plain, through = params.copy(), params.copy()
-        v_plain, v_through = params.unflatten(v), params.unflatten(v)
-        sgd_step(plain, g, lr, momentum, v_plain)
-        sgd_step(through, g, lr, momentum, v_through, np.full(n, np.nan))
-        assert through.buffer.tobytes() == plain.buffer.tobytes()
-        assert v_through.buffer.tobytes() == v_plain.buffer.tobytes()
+        whole, blocked = params.copy(), params.copy()
+        v_whole, v_blocked = params.unflatten(v), params.unflatten(v)
+        sgd_step(whole, g, lr, momentum, v_whole)  # one block: n < SGD_BLOCK
+        with mock.patch.object(nn, "SGD_BLOCK", block):
+            sgd_step(blocked, g, lr, momentum, v_blocked)
+        assert blocked.buffer.tobytes() == whole.buffer.tobytes()
+        assert v_blocked.buffer.tobytes() == v_whole.buffer.tobytes()
 
     @given(st.integers(1, 6), st.floats(0.0, 0.95))
     def test_momentum_with_constant_gradient_has_closed_form(self, steps, momentum):
