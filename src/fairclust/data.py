@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import Rng
+from .nn import Rng, read_json
 
 ROLES = ("feature", "categorical", "label", "protected")
 MANIFEST_VERSION = 1
@@ -396,10 +396,7 @@ def load_with_manifest(csv_path):
         raise FileNotFoundError(
             f"no manifest next to {csv_path}; pass the schema explicitly"
         )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     version = manifest.get("schema_version") if isinstance(manifest, dict) else None
     if version != MANIFEST_VERSION:
         raise ValueError(f"{manifest_path}: schema_version must be {MANIFEST_VERSION}, "

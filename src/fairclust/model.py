@@ -30,6 +30,7 @@ from .nn import (
     clip_gradients,
     forward,
     pack_array,
+    read_json,
     sgd_step,
     squared_error,
     squared_error_grad,
@@ -399,17 +400,35 @@ _MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_arra
 
 
 def load_model(path):
-    """Read a version 1 or version 2 model checkpoint."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != MODEL_FORMAT:
+    """Read a version 1 or version 2 model checkpoint. A config that makes
+    no TrainConfig, or centroids (K rows) or fairoids that are not finite
+    2-d arrays as wide as the last encoder layer's output, is a ValueError
+    naming the path and the field."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError("not a fairclust model checkpoint")
     read = _MATRIX_READERS.get(payload.get("version"))
     if read is None:
         raise ValueError(f"unsupported model version {payload.get('version')}")
-    return TrainedModel(
-        params=ParamSet.from_payload(payload["network"]),
-        centroids=read(payload["centroids"]),
-        fairoids=read(payload["fairoids"]),
-        config=TrainConfig(**payload["config"]),
-        history=payload["history"],
-    )
+    try:
+        config = TrainConfig(**payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: config: {exc}") from None
+    params = ParamSet.from_payload(payload["network"])
+    encoder = params.layers("enc")
+    if not encoder:
+        raise ValueError(f"{path}: network: no encoder layers")
+    matrices = {}
+    for name, rows in (("centroids", config.K), ("fairoids", None)):
+        try:
+            matrices[name] = a = read(payload[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {name}: {exc}") from None
+        if a.ndim != 2 or not np.all(np.isfinite(a)):
+            raise ValueError(f"{path}: {name}: must be a finite 2-d array")
+        if a.shape[1] != encoder[-1].n_out:
+            raise ValueError(f"{path}: {name}: {a.shape[1]} wide, but the last encoder "
+                             f"layer has n_out {encoder[-1].n_out}")
+        if rows is not None and len(a) != rows:
+            raise ValueError(f"{path}: {name}: {len(a)} rows, but config K is {rows}")
+    return TrainedModel(params=params, config=config, history=payload["history"], **matrices)

@@ -226,7 +226,7 @@ class ParamSet:
     def from_payload(cls, payload):
         """Rebuilds the layout from the recorded shapes and lets the reader
         for the payload's version fill one new buffer, which the set owns."""
-        if payload.get("format") != PARAMS_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
             raise ValueError("not a fairclust parameter checkpoint")
         read = _PARAMS_READERS.get(payload.get("version"))
         if read is None:
@@ -255,12 +255,10 @@ def _read_params_v1(payload, layout, size):
     return buffer
 
 
-def _read_params_v2(payload, layout, size):
-    """Version 2: the whole buffer as one `pack_array` record."""
-    return unpack_array(payload.get("buffer"), (size,))
-
-
-_PARAMS_READERS = {1: _read_params_v1, 2: _read_params_v2}
+# Parameter format version -> reader of the buffer: version 2 stores it as
+# one `pack_array` record.
+_PARAMS_READERS = {1: _read_params_v1,
+                   2: lambda payload, layout, size: unpack_array(payload.get("buffer"), (size,))}
 
 
 def pack_array(a):
@@ -274,8 +272,9 @@ def pack_array(a):
 def unpack_array(record, shape=None):
     """The float64 array of a `pack_array` record, decoded in slices into
     the one new writable array it returns, which the caller owns. shape,
-    when given, is the one the caller expects. A record whose dtype, shape
-    or data does not hold up is a ValueError naming what is wrong."""
+    when given, is the one the caller expects. The record is checked
+    before any decode, so a dtype, shape or data that does not hold up is
+    a ValueError naming what is wrong; so is a slice the decoder rejects."""
     if not isinstance(record, dict):
         raise ValueError("expected a packed array record")
     if record.get("dtype") != ARRAY_DTYPE:
@@ -287,27 +286,24 @@ def unpack_array(record, shape=None):
     if shape is not None and tuple(stored) != tuple(shape):
         raise ValueError(f"array shape {stored} does not match the expected {list(shape)}")
     data, size = record.get("data"), math.prod(stored) * 8
-    if (isinstance(data, str) and len(data) == -(-size // 3) * 4
-            and data.find("=", 0, len(data) - 2) < 0):  # padding only at the end
-        out, at = np.empty(stored, dtype=ARRAY_DTYPE), 0
-        dest = out.reshape(-1).view(np.uint8)
+    if not (isinstance(data, str) and data.isascii()):
+        raise ValueError("array data is not base64: it must be an ASCII string")
+    if len(data) % 4 or data.find("=", 0, len(data) - 2) >= 0:
+        raise ValueError("array data is not base64: it must be whole 4-character groups "
+                         "with '=' only in the last two places")
+    held = len(data) // 4 * 3 - data.count("=", len(data) - 2)
+    if held != size:
+        raise ValueError(f"array data holds {held} bytes; shape {stored} needs {size}")
+    out, at = np.empty(stored, dtype=ARRAY_DTYPE), 0
+    dest = out.reshape(-1).view(np.uint8)
+    for start in range(0, len(data), DECODE_CHARS):
         try:
-            for start in range(0, len(data), DECODE_CHARS):
-                part = base64.b64decode(data[start : start + DECODE_CHARS], validate=True)
-                dest[at : at + len(part)] = np.frombuffer(part, dtype=np.uint8)
-                at += len(part)
-        except ValueError:  # not base64, or more bytes than dest holds
-            at = -1
-        if at == size:
-            return out
-    # anything else is decoded whole, as it was written, to name the fault
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"array data is not base64: {exc}") from None
-    if len(raw) != size:
-        raise ValueError(f"array data holds {len(raw)} bytes; shape {stored} needs {size}")
-    return np.frombuffer(raw, dtype=ARRAY_DTYPE).reshape(stored).copy()
+            part = base64.b64decode(data[start : start + DECODE_CHARS], validate=True)
+        except ValueError as exc:
+            raise ValueError(f"array data is not base64: {exc}") from None
+        dest[at : at + len(part)] = np.frombuffer(part, dtype=np.uint8)
+        at += len(part)
+    return out
 
 
 def _entry_parts(value):
@@ -328,7 +324,16 @@ def save_params(params, path):
 
 def load_params(path):
     """Read a version 1 or version 2 parameter checkpoint."""
-    return ParamSet.from_payload(json.loads(Path(path).read_text()))
+    return ParamSet.from_payload(read_json(path))
+
+
+def read_json(path):
+    """The parsed JSON file at path; text that does not parse is a
+    ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 @dataclass

@@ -3,6 +3,7 @@ version 1 files (JSON number lists) are still read."""
 
 import base64
 import json
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -186,8 +187,8 @@ class TestVersion2Errors:
         b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", 7,
     ])
     def test_slices_change_no_outcome(self, data):
-        # one decode of the whole text is the reference: slices of 4 or 8
-        # characters accept what it accepts and fail with its message
+        # the default slice is the reference: slices of 4 or 8 characters
+        # accept what it accepts and fail with its message
         def outcome():
             try:
                 return unpack_array({**self.record(), "data": data}).tobytes()
@@ -228,3 +229,98 @@ class TestVersion2Errors:
         payload["buffer"] = pack_array(np.zeros(5))
         with pytest.raises(ValueError, match=r"shape \[5\] does not match the expected \[6\]"):
             ParamSet.from_payload(payload)
+
+
+def starts_with_path(path, rest):
+    return "^" + re.escape(f"{path}: ") + rest
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("name, load", [("ae.json", load_params),
+                                            ("model.json", model.load_model)])
+    def test_truncated_json_names_the_file(self, tmp_path, name, load):
+        text = (V1 / name).read_text()
+        path = tmp_path / name
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=starts_with_path(path, "not valid JSON: ")):
+            load(path)
+
+    def test_json_that_is_not_an_object(self, tmp_path):
+        (tmp_path / "model.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a fairclust model checkpoint"):
+            model.load_model(tmp_path / "model.json")
+        with pytest.raises(ValueError, match="not a fairclust parameter checkpoint"):
+            ParamSet.from_payload([1, 2])
+
+
+def model_file(tmp_path, version, **fields):
+    """The version 1 fixture model, as the given version, with fields
+    replaced; an array is stored as that version stores it."""
+    if version == 1:
+        saved = json.loads((V1 / "model.json").read_text())
+    else:
+        model.save_model(model.load_model(V1 / "model.json"), tmp_path / "v2.json")
+        saved = json.loads((tmp_path / "v2.json").read_text())
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.tolist() if version == 1 else pack_array(value)
+        saved[name] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(saved))
+    return path
+
+
+@pytest.mark.parametrize("version", [1, 2])
+class TestModelFields:
+    # the fixture: a 4-6-2 encoder, K=2, T=2
+
+    def test_centroids_wider_than_the_encoder(self, tmp_path, version):
+        path = model_file(tmp_path, version, centroids=np.zeros((2, 5)))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "centroids: 5 wide, but the last encoder layer has n_out 2")):
+            model.load_model(path)
+
+    def test_non_finite_centroids(self, tmp_path, version):
+        path = model_file(tmp_path, version, centroids=np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "centroids: must be a finite 2-d array")):
+            model.load_model(path)
+
+    def test_fairoids_that_are_not_2_d(self, tmp_path, version):
+        path = model_file(tmp_path, version, fairoids=np.zeros(2))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "fairoids: must be a finite 2-d array")):
+            model.load_model(path)
+
+    def test_fairoids_wider_than_the_encoder(self, tmp_path, version):
+        path = model_file(tmp_path, version, fairoids=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "fairoids: 3 wide, but the last encoder layer has n_out 2")):
+            model.load_model(path)
+
+    def test_centroid_rows_other_than_k(self, tmp_path, version):
+        path = model_file(tmp_path, version, centroids=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "centroids: 3 rows, but config K is 2")):
+            model.load_model(path)
+
+    def test_network_without_encoder_layers(self, tmp_path, version):
+        decoder = ParamSet({"dec0": AffineLayer(np.eye(2), np.zeros(2))}).to_payload()
+        path = model_file(tmp_path, version, network=decoder)
+        with pytest.raises(ValueError, match=starts_with_path(path, "network: no encoder layers")):
+            model.load_model(path)
+
+    def test_unknown_config_key(self, tmp_path, version):
+        config = json.loads((V1 / "model.json").read_text())["config"]
+        path = model_file(tmp_path, version, config={**config, "bogus": 1})
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "config: .*unexpected keyword argument 'bogus'")):
+            model.load_model(path)
+
+    def test_eval_refuses_non_finite_centroids(self, tmp_path, version, capsys):
+        path = model_file(tmp_path, version, centroids=np.full((2, 2), np.nan))
+        code = cli.main(["eval", "--model", str(path), "--data", str(V1 / "data.csv"),
+                         "--out", str(tmp_path / "eval")])
+        assert code != 0
+        assert capsys.readouterr().err.startswith(f"error: {path}: centroids: ")
+        assert not (tmp_path / "eval" / "report.json").exists()

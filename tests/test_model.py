@@ -660,3 +660,45 @@ class TestTrainingState:
         assert f"last finite mean loss {sum(losses) / 3}" in message
         assert "non-finite" not in message
         assert isinstance(info.value.__cause__, ValueError)
+
+
+class TestRefreshInterval:
+    BATCHES = 4  # tiny_run sweeps 120 rows in batches of 32
+
+    def run(self, monkeypatch, interval):
+        """Trains tiny_run for 5 epochs; returns the epoch and P of each
+        refresh, and for each batch the P rows it was given and the
+        refresh count when it ran."""
+        import fairclust.model as model_module
+
+        ds, ae, cfg = tiny_run(max_epochs=5)
+        row_of = {row.tobytes(): i for i, row in enumerate(ds.features)}
+        refreshes, batches = [], []
+
+        def counted_refresh(*args):
+            out = _refresh_targets(*args)
+            refreshes.append((len(batches) // self.BATCHES, out[0]))
+            return out
+
+        def recorded_objective(params, grads, X, P, *rest):
+            idx = [row_of[row.tobytes()] for row in X]
+            batches.append((len(refreshes), idx, P.copy()))
+            return fair_objective(params, grads, X, P, *rest)
+
+        monkeypatch.setattr(model_module, "_refresh_targets", counted_refresh)
+        monkeypatch.setattr(model_module, "fair_objective", recorded_objective)
+        model = train(ds, ae, replace(cfg, refresh_interval=interval))
+        assert len(model.history) == 5 and len(batches) == 5 * self.BATCHES
+        return refreshes, batches
+
+    @pytest.mark.parametrize("interval, epochs", [(0, [0]), (1, [0, 1, 2, 3, 4]),
+                                                  (2, [0, 2, 4])])
+    def test_refreshes_every_interval_epochs(self, monkeypatch, interval, epochs):
+        refreshes, _ = self.run(monkeypatch, interval)
+        assert [epoch for epoch, _ in refreshes] == epochs
+
+    def test_sweeps_between_refreshes_use_the_last_refreshed_p(self, monkeypatch):
+        refreshes, batches = self.run(monkeypatch, 2)
+        assert not np.array_equal(refreshes[0][1], refreshes[1][1])
+        for n_refreshed, idx, P in batches:
+            np.testing.assert_array_equal(P, refreshes[n_refreshed - 1][1][idx])
