@@ -86,14 +86,15 @@ def reconstruction_squared_error(params, X):
 def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
     """One reconstruction epoch on copies of params and velocity, so the
     caller can roll it back; returns (params, velocity, post-epoch loss).
-    Numerical blowups surface as an infinite loss instead of an exception.
+    A non-finite gradient (`sgd_step`'s RuntimeError) or loss, the sign of
+    divergence, surfaces as an infinite loss; any other error propagates.
     """
     params, velocity = params.copy(), velocity.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream)
             loss = squared_error(apply(params.layers(), X), X)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+        except RuntimeError:
             return params, velocity, np.inf
     return params, velocity, loss if np.isfinite(loss) else np.inf
 

@@ -294,7 +294,7 @@ def _run_one_seed(ds, ae_params, opts, seed, out):
     return rep
 
 
-AGG_FIELDS = ("acc", "nmi", "fwd_mean", "fwd_max", "balance_min")
+AGG_FIELDS = metrics.SUMMARY_FIELDS
 
 
 def _aggregate(reports_by_seed, failures):

@@ -82,21 +82,34 @@ def lloyd(Z, init, max_iters=20, tol=1e-4):
     return centroids, assign
 
 
+def contingency(a, b, rows=None, cols=None):
+    """Count table of two label arrays: entry (i, j) counts the positions
+    where a is i and b is j. rows and cols default to the largest label
+    plus one. Arrays that are not 1-d and of equal length, or a label
+    outside 0..rows-1 or 0..cols-1, are a ValueError naming the range."""
+    a = np.asarray(a, dtype=int)
+    b = np.asarray(b, dtype=int)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"label arrays must be 1-d and of equal length, "
+                         f"got shapes {a.shape} and {b.shape}")
+    rows = int(a.max()) + 1 if rows is None else rows
+    cols = int(b.max()) + 1 if cols is None else cols
+    for side, labels, size in (("row", a, rows), ("column", b, cols)):
+        if labels.size and (labels.min() < 0 or labels.max() >= size):
+            raise ValueError(f"{side} labels must lie in 0..{size - 1}, "
+                             f"got {labels.min()}..{labels.max()}")
+    return np.bincount(a * cols + b, minlength=rows * cols).reshape(rows, cols)
+
+
 def hungarian_match(pred, truth):
     """Optimal label mapping over the zero-padded square contingency table.
 
     Returns (mapping from predicted label to matched true label, matched
     agreement count).
     """
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have the same length")
-    n_pred = int(pred.max()) + 1
-    n_truth = int(truth.max()) + 1
-    side = max(n_pred, n_truth)
-    table = np.zeros((side, side), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
+    n_pred = int(np.max(pred)) + 1
+    side = max(n_pred, int(np.max(truth)) + 1)
+    table = contingency(pred, truth, side, side)
     rows, cols = linear_sum_assignment(table, maximize=True)
     mapping = {int(r): int(c) for r, c in zip(rows, cols) if r < n_pred}
     agreement = int(table[rows, cols].sum())

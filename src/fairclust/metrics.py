@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import rel_entr
 
-from .clustering import hungarian_match
+from .clustering import contingency, hungarian_match
 
 REPORT_VERSION = 1
+
+# The headline fields of a report: recorded each training epoch and
+# aggregated across seeds.
+SUMMARY_FIELDS = ("acc", "nmi", "fwd_mean", "fwd_max", "balance_min")
 
 
 @dataclass(frozen=True)
@@ -39,17 +43,10 @@ class ClusterHistogram:
 
 def cluster_histograms(assignments, protected, K, T):
     """Per-cluster protected histograms. Empty clusters stay flagged so the
-    fairness aggregates can exclude them."""
-    assignments = np.asarray(assignments, dtype=int)
-    protected = np.asarray(protected, dtype=int)
-    if assignments.shape != protected.shape:
-        raise ValueError("assignments and protected must have the same length")
-    out = []
-    for k in range(K):
-        members = protected[assignments == k]
-        counts = np.bincount(members, minlength=T)
-        out.append(ClusterHistogram(counts=counts, cluster_size=int(members.size)))
-    return out
+    fairness aggregates can exclude them. Rows are clusters 0..K-1 and
+    columns protected states 0..T-1 of one contingency table."""
+    return [ClusterHistogram(counts=counts, cluster_size=int(counts.sum()))
+            for counts in contingency(assignments, protected, K, T)]
 
 
 def fwd(h, T=None, ordered=False):
@@ -98,8 +95,6 @@ def cv_score(h):
 def acc(pred, truth):
     """Clustering accuracy: matched agreement under the optimal label
     permutation, divided by N. Invariant to relabeling of pred."""
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
     _, agreement = hungarian_match(pred, truth)
     return agreement / len(pred)
 
@@ -109,16 +104,16 @@ def nmi(pred, truth):
     I(pred; truth) / sqrt(H(pred) H(truth)), natural log.
 
     Defined as 1 when both partitions are trivial (each a single class)
-    and 0 when exactly one entropy vanishes.
+    and 0 when exactly one is. Triviality is read off the count table, not
+    off a vanishing entropy: a single class's summed probabilities can
+    round to just above 1, which makes its entropy a tiny negative number.
     """
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have the same length")
-    n = len(pred)
-    joint = np.zeros((pred.max() + 1, truth.max() + 1))
-    np.add.at(joint, (pred, truth), 1.0)
-    joint /= n
+    table = contingency(pred, truth)
+    trivial_pred = np.count_nonzero(table.sum(axis=1)) == 1
+    trivial_truth = np.count_nonzero(table.sum(axis=0)) == 1
+    if trivial_pred or trivial_truth:
+        return float(trivial_pred and trivial_truth)
+    joint = table / len(pred)
     p_pred = joint.sum(axis=1)
     p_truth = joint.sum(axis=0)
 
@@ -127,10 +122,6 @@ def nmi(pred, truth):
         return float(-(p * np.log(p)).sum())
 
     h_pred, h_truth = entropy(p_pred), entropy(p_truth)
-    if h_pred == 0.0 and h_truth == 0.0:
-        return 1.0
-    if h_pred == 0.0 or h_truth == 0.0:
-        return 0.0
     mutual = float(rel_entr(joint, np.outer(p_pred, p_truth)).sum())
     value = mutual / np.sqrt(h_pred * h_truth)
     return float(min(max(value, 0.0), 1.0))
@@ -150,18 +141,7 @@ class MetricsReport:
     schema_version: int = REPORT_VERSION
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "k": self.K,
-            "t": self.T,
-            "k_effective": self.K_effective,
-            "fwd_mean": self.fwd_mean,
-            "fwd_max": self.fwd_max,
-            "balance_min": self.balance_min,
-            "acc": self.acc,
-            "nmi": self.nmi,
-            "per_cluster": self.per_cluster,
-        }
+        return {name.lower(): value for name, value in asdict(self).items()}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -31,6 +31,7 @@ from .nn import (
     forward,
     pack_array,
     read_json,
+    require_fields,
     sgd_step,
     squared_error,
     squared_error_grad,
@@ -363,13 +364,7 @@ def train(ds, ae_params, cfg):
 
 def _epoch_metrics(hard, ds, K):
     rep = metrics.report_from_assignments(hard, ds.protected, ds.T, K, labels=ds.labels)
-    return {
-        "fwd_mean": rep.fwd_mean,
-        "fwd_max": rep.fwd_max,
-        "balance_min": rep.balance_min,
-        "acc": rep.acc,
-        "nmi": rep.nmi,
-    }
+    return {name: getattr(rep, name) for name in metrics.SUMMARY_FIELDS}
 
 
 def predict(model, X):
@@ -400,21 +395,27 @@ _MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_arra
 
 
 def load_model(path):
-    """Read a version 1 or version 2 model checkpoint. A config that makes
-    no TrainConfig, or centroids (K rows) or fairoids that are not finite
-    2-d arrays as wide as the last encoder layer's output, is a ValueError
-    naming the path and the field."""
+    """Read a version 1 or version 2 model checkpoint. A missing field, a
+    network that does not load, a config that makes no TrainConfig, or
+    centroids (K rows) or fairoids that are not finite 2-d arrays as wide
+    as the last encoder layer's output, is a ValueError naming the path and
+    the field."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ValueError("not a fairclust model checkpoint")
+        raise ValueError(f"{path}: not a fairclust model checkpoint")
     read = _MATRIX_READERS.get(payload.get("version"))
     if read is None:
-        raise ValueError(f"unsupported model version {payload.get('version')}")
+        raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
+    require_fields(payload, ("config", "network", "centroids", "fairoids", "history"),
+                   f"{path}: ")
     try:
         config = TrainConfig(**payload["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: config: {exc}") from None
-    params = ParamSet.from_payload(payload["network"])
+    try:
+        params = ParamSet.from_payload(payload["network"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: network: {exc}") from None
     encoder = params.layers("enc")
     if not encoder:
         raise ValueError(f"{path}: network: no encoder layers")

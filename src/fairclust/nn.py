@@ -225,14 +225,17 @@ class ParamSet:
     @classmethod
     def from_payload(cls, payload):
         """Rebuilds the layout from the recorded shapes and lets the reader
-        for the payload's version fill one new buffer, which the set owns."""
+        for the payload's version fill one new buffer, which the set owns.
+        A missing field is a ValueError naming it."""
         if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
             raise ValueError("not a fairclust parameter checkpoint")
         read = _PARAMS_READERS.get(payload.get("version"))
         if read is None:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        require_fields(payload, ("layers",))
         layout, offset = {}, 0
-        for rec in payload["layers"]:
+        for i, rec in enumerate(payload["layers"]):
+            require_fields(rec, ("name", "shape", "activation"), f"layers[{i}]: ")
             (n_in, n_out), activation = rec["shape"], rec["activation"]
             if activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {activation!r}")
@@ -245,13 +248,18 @@ class ParamSet:
 
 
 def _read_params_v1(payload, layout, size):
-    """Version 1: each layer's weight and bias as JSON number lists."""
+    """Version 1: each layer's weight and bias as flat JSON number lists."""
     buffer = np.empty(size)
     for rec in payload["layers"]:
         offset, (n_in, n_out), _ = layout[rec["name"]]
-        end = offset + n_in * n_out
-        buffer[offset:end] = rec["weight"]
-        buffer[end : end + n_out] = rec["bias"]
+        require_fields(rec, ("weight", "bias"), f"{rec['name']}: ")
+        for name, needed in (("weight", n_in * n_out), ("bias", n_out)):
+            values = np.asarray(rec[name], dtype=float)
+            if values.shape != (needed,):
+                raise ValueError(f"{rec['name']}: {name}: holds {values.size} values, "
+                                 f"but a {n_in}x{n_out} layer needs {needed}")
+            buffer[offset : offset + needed] = values
+            offset += needed
     return buffer
 
 
@@ -323,8 +331,21 @@ def save_params(params, path):
 
 
 def load_params(path):
-    """Read a version 1 or version 2 parameter checkpoint."""
-    return ParamSet.from_payload(read_json(path))
+    """Read a version 1 or version 2 parameter checkpoint; a payload that
+    does not hold up is a ValueError naming the path."""
+    payload = read_json(path)
+    try:
+        return ParamSet.from_payload(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def require_fields(record, names, where=""):
+    """A ValueError naming the first of names that record lacks, after the
+    prefix where."""
+    for name in names:
+        if name not in record:
+            raise ValueError(f"{where}{name}: missing")
 
 
 def read_json(path):

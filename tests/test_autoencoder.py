@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fairclust import autoencoder
 from fairclust.autoencoder import (
     AeConfig,
     decode,
@@ -123,6 +126,13 @@ class TestFinetuneGlobal:
         tuned, log = finetune_global(X, params, epochs=10, lr=50.0, batch=20, rng=Rng(7))
         assert np.isfinite(log[-1]["loss"])
         assert log[-1]["lr"] < 50.0
+
+    def test_an_error_that_is_not_divergence_propagates(self):
+        X = toy_data(30, 3, seed=8)
+        cfg = AeConfig(dims=(3, 2), layerwise_epochs=2, global_epochs=0, batch=10)
+        with mock.patch.object(autoencoder, "forward", side_effect=ValueError("boom")):
+            with pytest.raises(ValueError, match="^boom$"):
+                pretrain(X, cfg)
 
     def test_recorded_loss_matches_reconstruction(self):
         X = toy_data(30, 3, seed=8)

@@ -246,11 +246,60 @@ class TestUnreadableFiles:
             load(path)
 
     def test_json_that_is_not_an_object(self, tmp_path):
-        (tmp_path / "model.json").write_text("[1, 2]")
-        with pytest.raises(ValueError, match="not a fairclust model checkpoint"):
-            model.load_model(tmp_path / "model.json")
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "not a fairclust model checkpoint$")):
+            model.load_model(path)
         with pytest.raises(ValueError, match="not a fairclust parameter checkpoint"):
             ParamSet.from_payload([1, 2])
+
+
+class TestMissingAndShortFields:
+    @pytest.mark.parametrize("field", ["history", "network", "config", "centroids",
+                                       "fairoids"])
+    def test_missing_model_field(self, tmp_path, field, capsys):
+        saved = json.loads((V1 / "model.json").read_text())
+        del saved[field]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(path, f"{field}: missing$")):
+            model.load_model(path)
+        code = cli.main(["eval", "--model", str(path), "--data", str(V1 / "data.csv"),
+                         "--out", str(tmp_path / "eval")])
+        assert code != 0
+        assert capsys.readouterr().err == f"error: {path}: {field}: missing\n"
+
+    def test_params_without_layers(self, tmp_path):
+        saved = json.loads((V1 / "ae.json").read_text())
+        del saved["layers"]
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(path, "layers: missing$")):
+            load_params(path)
+
+    @pytest.mark.parametrize("field", ["name", "shape", "activation"])
+    def test_layer_record_missing_a_field(self, tmp_path, field):
+        saved = json.loads((V1 / "model.json").read_text())
+        del saved["network"]["layers"][1][field]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, f"network: layers\\[1\\]: {field}: missing$")):
+            model.load_model(path)
+
+    @pytest.mark.parametrize("field, held, needed", [("weight", 23, 24), ("bias", 7, 6)])
+    def test_version_1_layer_of_the_wrong_length(self, tmp_path, field, held, needed):
+        # the fixture's enc0 is a 4x6 layer
+        saved = json.loads((V1 / "model.json").read_text())
+        values = saved["network"]["layers"][0][field]
+        saved["network"]["layers"][0][field] = (values + [0.0])[:held]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, f"network: enc0: {field}: holds {held} values, "
+                      f"but a 4x6 layer needs {needed}$")):
+            model.load_model(path)
 
 
 def model_file(tmp_path, version, **fields):

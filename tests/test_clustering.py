@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairclust.clustering import (
+    contingency,
     distortion,
     hungarian_match,
     kmeans_pp_init,
@@ -134,3 +135,32 @@ class TestHungarianMatch:
         truth = np.array([0, 0, 1, 1, 1, 1])
         _, agreement = hungarian_match(pred, truth)
         assert agreement == 4
+
+
+class TestContingency:
+    def test_hand_count(self):
+        table = contingency([0, 0, 1, 2, 2, 2], [1, 1, 0, 0, 1, 1])
+        np.testing.assert_array_equal(table, [[0, 2], [1, 0], [1, 2]])
+
+    def test_explicit_sizes_pad_with_zeros(self):
+        table = contingency([0, 1], [1, 1], rows=3, cols=4)
+        assert table.shape == (3, 4) and table.sum() == 2 and table[2].sum() == 0
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([0, 5, 1], [0, 1, 1], r"row labels must lie in 0\.\.1, got 0\.\.5"),
+        ([0, 1, 1], [0, 3, 1], r"column labels must lie in 0\.\.2, got 0\.\.3"),
+        ([-1, 0, 1], [0, 0, 1], r"row labels must lie in 0\.\.1, got -1\.\.1"),
+        ([0, 1, 1], [0, -2, 1], r"column labels must lie in 0\.\.2, got -2\.\.1"),
+    ])
+    def test_out_of_range_labels_name_the_range(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            contingency(a, b, 2, 3)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"equal length, got shapes \(3,\) and \(2,\)"):
+            contingency([0, 1, 1], [0, 1])
+
+    def test_negative_prediction_is_not_wrapped(self):
+        # indexing would wrap -1 onto the last cluster and score 2 of 3
+        with pytest.raises(ValueError, match=r"row labels must lie in 0\.\.1, got -1\.\.1"):
+            hungarian_match([-1, 0, 1], [0, 0, 1])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.special import rel_entr
 
 import fairclust as fc
 from fairclust.metrics import (
@@ -13,6 +15,7 @@ from fairclust.metrics import (
     cv_score,
     fwd,
     histograms_to_csv,
+    hungarian_match,
     nmi,
     report_from_assignments,
 )
@@ -37,6 +40,19 @@ class TestClusterHistograms:
         hists = cluster_histograms([0, 0], [0, 1], K=2, T=2)
         assert hists[1].empty
         assert hists[1].counts.sum() == 0
+
+    @pytest.mark.parametrize("assignments, protected, message", [
+        ([0, 1, 5], [0, 1, 1], r"row labels must lie in 0\.\.1, got 0\.\.5"),
+        ([0, 1, 1], [0, 3, 1], r"column labels must lie in 0\.\.1, got 0\.\.3"),
+        ([0, -1, 1], [0, 1, 1], r"row labels must lie in 0\.\.1, got -1\.\.1"),
+        ([0, 1, 1], [0, 1, -1], r"column labels must lie in 0\.\.1, got -1\.\.1"),
+        ([0, 1, 1], [0, 1], r"equal length"),
+    ])
+    def test_labels_outside_k_or_t_rejected(self, assignments, protected, message):
+        with pytest.raises(ValueError, match=message):
+            cluster_histograms(assignments, protected, K=2, T=2)
+        with pytest.raises(ValueError, match=message):
+            report_from_assignments(assignments, protected, T=2, K=2)
 
 
 class TestFwd:
@@ -154,6 +170,25 @@ class TestNmi:
     def test_both_trivial_partitions(self):
         assert nmi([0, 0, 0], [0, 0, 0]) == 1.0
 
+    def test_one_cluster_partition_whose_marginals_round_above_one(self):
+        # the 13 label shares sum to 1.0000000000000002, so an entropy
+        # computed from them would be a tiny negative number
+        assert nmi(np.zeros(13, int), np.arange(13) % 4) == 0.0
+        assert nmi(np.arange(13) % 4, np.zeros(13, int)) == 0.0
+
+    def test_report_of_one_cluster_is_strict_json(self):
+        rep = report_from_assignments(np.zeros(13, int), np.arange(13) % 2, T=2, K=2,
+                                      labels=np.arange(13) % 4)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        assert json.loads(rep.to_json(), parse_constant=refuse)["nmi"] == 0.0
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            nmi([0, 1, 1], [0, 1])
+
     def test_symmetric(self):
         rng = np.random.default_rng(5)
         a = rng.integers(0, 3, size=80)
@@ -213,6 +248,11 @@ class TestReport:
             assert {"cluster", "size", "counts", "histogram", "fwd",
                     "balance", "cv"} <= set(entry)
 
+    def test_dict_keys(self):
+        rep = report_from_assignments([0, 0, 1, 1], [0, 1, 0, 1], T=2, K=2)
+        assert set(rep.to_dict()) == {"schema_version", "k", "t", "k_effective", "fwd_mean",
+                                      "fwd_max", "balance_min", "acc", "nmi", "per_cluster"}
+
     def test_histograms_csv(self, tmp_path):
         rep = report_from_assignments([0, 0, 1, 1], [0, 1, 0, 1], T=2, K=2)
         path = histograms_to_csv(rep, tmp_path / "hists.csv")
@@ -254,3 +294,57 @@ class TestInvariantProperties:
         perm = np.array(data.draw(st.permutations(range(K))))
         assert acc(perm[pred], truth) == acc(pred, truth)
         assert nmi(perm[pred], truth) == pytest.approx(nmi(pred, truth), rel=1e-12, abs=1e-15)
+
+
+def reference_table(pred, truth, shape, dtype):
+    """A count table as indexed accumulation into zeros builds it."""
+    table = np.zeros(shape, dtype=dtype)
+    np.add.at(table, (pred, truth), 1)
+    return table
+
+
+def reference_nmi(pred, truth):
+    joint = reference_table(pred, truth, (pred.max() + 1, truth.max() + 1), float)
+    joint /= len(pred)
+    p_pred, p_truth = joint.sum(axis=1), joint.sum(axis=0)
+
+    def entropy(p):
+        p = p[p > 0]
+        return float(-(p * np.log(p)).sum())
+
+    mutual = float(rel_entr(joint, np.outer(p_pred, p_truth)).sum())
+    return float(min(max(mutual / np.sqrt(entropy(p_pred) * entropy(p_truth)), 0.0), 1.0))
+
+
+class TestAgainstSeparateTables:
+    """Every metric read off the one contingency table equals the same
+    metric built from a table of its own: per-cluster masks for the
+    histograms, indexed accumulation for the matching and NMI."""
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_bit_identical(self, K, T, L, data):
+        n = data.draw(st.integers(1, 80))
+
+        def labels(count):
+            return np.array(data.draw(st.lists(st.integers(0, count - 1),
+                                               min_size=n, max_size=n)))
+
+        pred, protected, truth = labels(K), labels(T), labels(L)
+
+        for k, hist in enumerate(cluster_histograms(pred, protected, K, T)):
+            members = protected[pred == k]
+            expected = np.bincount(members, minlength=T)
+            assert hist.counts.dtype == expected.dtype
+            assert hist.counts.tobytes() == expected.tobytes()
+            assert hist.cluster_size == members.size
+
+        n_pred = pred.max() + 1
+        side = max(n_pred, truth.max() + 1)
+        table = reference_table(pred, truth, (side, side), np.int64)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        expected_match = ({int(r): int(c) for r, c in zip(rows, cols) if r < n_pred},
+                          int(table[rows, cols].sum()))
+        assert hungarian_match(pred, truth) == expected_match
+        assert acc(pred, truth).hex() == (expected_match[1] / n).hex()
+        if len(set(pred.tolist())) > 1 and len(set(truth.tolist())) > 1:
+            assert nmi(pred, truth).hex() == reference_nmi(pred, truth).hex()
