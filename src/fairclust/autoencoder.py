@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
+    MOMENTUM,
     ParamSet,
     Rng,
     apply,
@@ -20,12 +21,12 @@ from .nn import (
     clip_gradients,
     forward,
     init_layer,
+    require_finite,
     sgd_step,
     squared_error,
     squared_error_grad,
 )
 
-MOMENTUM = 0.9
 CLIP_NORM = 5.0
 
 
@@ -40,6 +41,7 @@ class AeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         dims = tuple(int(w) for w in self.dims)
         if len(dims) < 2:
             raise ValueError("dims must list at least the input width and the bottleneck")
@@ -56,7 +58,7 @@ class AeConfig:
         object.__setattr__(self, "dims", dims)
 
 
-def init_params(dims, rng_stream, std=None):
+def init_params(dims, rng_stream):
     """Fresh encoder + mirrored decoder. Names are enc0..encH-1, dec0..decH-1."""
     dims = tuple(dims)
     depth = len(dims) - 1
@@ -65,7 +67,7 @@ def init_params(dims, rng_stream, std=None):
         for i in range(depth):
             act = "identity" if i == depth - 1 else "relu"
             entries.append((f"{prefix}{i}",
-                            init_layer(widths[i], widths[i + 1], act, rng_stream, std)))
+                            init_layer(widths[i], widths[i + 1], act, rng_stream)))
     return ParamSet(entries)
 
 
@@ -171,9 +173,11 @@ def pretrain_layerwise(X, cfg, rng=None):
     return ParamSet((name, trained[name]) for name in init.names()), log
 
 
-def finetune_global(X, params, epochs, lr, batch=256, rng=None):
+def finetune_global(X, params, epochs, lr, batch, rng):
     """End-to-end reconstruction training without corruption; params is
-    left as it is.
+    left as it is. batch is the minibatch size and rng the `Rng` whose
+    "shuffle" stream orders each epoch; `pretrain` passes its config's batch
+    and the Rng that layer-wise pretraining used.
 
     Each logged loss is the full-data reconstruction error after the
     epoch (entry 0 is the starting loss). A non-finite epoch, or one that
@@ -181,8 +185,7 @@ def finetune_global(X, params, epochs, lr, batch=256, rng=None):
     rate halved, and the epoch retried once.
     """
     params, history = _run_epochs(params, np.asarray(X, dtype=float), epochs, lr, batch,
-                                  rng or Rng(0), 0.0,
-                                  "global fine-tuning diverged at epoch {epoch}")
+                                  rng, 0.0, "global fine-tuning diverged at epoch {epoch}")
     return params, [{"stage": "global", "epoch": epoch, "loss": loss, "lr": lr_now}
                     for epoch, loss, lr_now in history]
 

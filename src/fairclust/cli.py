@@ -2,7 +2,9 @@
 
 Every command is deterministic given its config and seeds. Values resolve
 as flag > config file > default; config files are UTF-8 ``key = value``
-lines with ``#`` comments, keyed by the flag names with underscores.
+lines with ``#`` comments, keyed by the flag names with underscores. An
+option that sets a field of AeConfig, TrainConfig or SynthSpec has no
+default here: left unset, it keeps the class's own.
 Artifacts land under --out with a manifest.json index. Exit codes:
 0 success, 1 usage error, 2 runtime failure.
 """
@@ -72,29 +74,29 @@ DATA_OPTS = {
 AE_OPTS = {
     "hidden": (_int_list, [500, 500, 2000], "hidden encoder widths"),
     "latent": (int, None, "bottleneck width d"),
-    "layerwise_epochs": (int, 150, "epochs per layer pair"),
-    "global_epochs": (int, 100, "end-to-end fine-tuning epochs"),
-    "lr_pretrain": (float, 0.1, "pretraining learning rate"),
-    "dropout": (float, 0.2, "input corruption rate for pretraining"),
-    "ae_batch": (int, 256, "pretraining minibatch size"),
-    "ae_seed": (int, 0, "pretraining seed"),
+    "layerwise_epochs": (int, None, "epochs per layer pair"),
+    "global_epochs": (int, None, "end-to-end fine-tuning epochs"),
+    "lr_pretrain": (float, None, "pretraining learning rate"),
+    "dropout": (float, None, "input corruption rate for pretraining"),
+    "ae_batch": (int, None, "pretraining minibatch size"),
+    "ae_seed": (int, None, "pretraining seed"),
 }
 
 TRAIN_OPTS = {
     "pretrain": (str, "inline", "AE checkpoint path, or 'inline' to pretrain here"),
     "k": (int, None, "number of clusters"),
-    "gamma": (float, 0.0, "fairness weight"),
-    "beta": (float, 1000.0, "smoothing root for the fairness target"),
-    "epsilon": (float, 1e-9, "numerical floor inside the smoothing root"),
-    "dof": (float, 1.0, "Student's-t degrees of freedom"),
-    "lr": (float, 0.01, "training learning rate"),
-    "batch": (int, 256, "training minibatch size"),
-    "max_epochs": (int, 100, "epoch cap"),
-    "convergence_tol": (float, 0.001, "stop when fewer assignments change"),
-    "recon_weight": (float, 0.0, "reconstruction term weight"),
-    "clip_norm": (float, 5.0, "global gradient norm cap (0 disables)"),
-    "refresh": (str, "incore", "fairness-target centroids: incore (live) or streaming (estimated)"),
-    "refresh_interval": (int, 1, "epochs between target refreshes (0 freezes)"),
+    "gamma": (float, None, "fairness weight"),
+    "beta": (float, None, "smoothing root for the fairness target"),
+    "epsilon": (float, None, "numerical floor inside the smoothing root"),
+    "dof": (float, None, "Student's-t degrees of freedom"),
+    "lr": (float, None, "training learning rate"),
+    "batch": (int, None, "training minibatch size"),
+    "max_epochs": (int, None, "epoch cap"),
+    "convergence_tol": (float, None, "stop when fewer assignments change"),
+    "recon_weight": (float, None, "reconstruction term weight"),
+    "clip_norm": (float, None, "global gradient norm cap (0 disables)"),
+    "refresh": (str, None, "fairness-target centroids: incore (live) or streaming (estimated)"),
+    "refresh_interval": (int, None, "epochs between target refreshes (0 freezes)"),
     "seeds": (_int_list, [0], "training seeds"),
 }
 
@@ -104,8 +106,8 @@ SYNTH_OPTS = {
     "blobs": (int, 4, "number of Gaussian blobs"),
     "t": (int, 4, "number of protected states"),
     "corr": (float, 0.9, "blob-to-state correlation in [0, 1]"),
-    "spread": (float, 0.1, "blob standard deviation, relative to the unit center gap"),
-    "seed": (int, 0, "generator seed"),
+    "spread": (float, None, "blob standard deviation, relative to the unit center gap"),
+    "seed": (int, None, "generator seed"),
 }
 
 COMMAND_OPTS = {
@@ -192,9 +194,11 @@ def _thread_count():
 
 
 def _validated(factory, **kwargs):
-    """Build a config object, reporting invalid values as usage errors."""
+    """Build a config object from the keywords whose value is not None, so
+    an option left unset keeps the class's default; invalid values are
+    usage errors."""
     try:
-        return factory(**kwargs)
+        return factory(**{k: v for k, v in kwargs.items() if v is not None})
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -294,9 +298,6 @@ def _run_one_seed(ds, ae_params, opts, seed, out):
     return rep
 
 
-AGG_FIELDS = metrics.SUMMARY_FIELDS
-
-
 def _aggregate(reports_by_seed, failures):
     """failures maps each failed seed to its exception."""
     agg = {"schema_version": SCHEMA_VERSION, "seeds": sorted(reports_by_seed),
@@ -305,7 +306,7 @@ def _aggregate(reports_by_seed, failures):
                          "traceback": "".join(traceback.format_exception(exc))}
                         for seed, exc in sorted(failures.items())],
            "metrics": {}}
-    for name in AGG_FIELDS:
+    for name in metrics.SUMMARY_FIELDS:
         values = [getattr(reports_by_seed[s], name) for s in sorted(reports_by_seed)]
         if any(v is None for v in values) or not values:
             agg["metrics"][name] = None
@@ -319,10 +320,10 @@ def _aggregate(reports_by_seed, failures):
     return agg
 
 
-def _run_seeds(ds, ae_params, opts, seeds, out):
+def _run_seeds(ds, ae_params, opts, seeds, out, threads):
     out.mkdir(parents=True, exist_ok=True)
     reports, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {seed: pool.submit(_run_one_seed, ds, ae_params, opts, seed, out)
                    for seed in seeds}
     for seed in seeds:
@@ -352,11 +353,12 @@ def _resolve_ae(ds, opts, out):
 
 def cmd_train(opts):
     _train_config(opts, opts["seeds"][0])  # surface bad values before any work
+    threads = _thread_count()
     ds = _load_dataset(opts)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     ae_params, artifacts = _resolve_ae(ds, opts, out)
-    agg = _run_seeds(ds, ae_params, opts, opts["seeds"], out)
+    agg = _run_seeds(ds, ae_params, opts, opts["seeds"], out, threads)
     artifacts += ["aggregate.json"] + [f"seed_{s}" for s in opts["seeds"]]
     _write_manifest(out, "train", artifacts)
     print(json.dumps(agg["metrics"], sort_keys=True, indent=2))
@@ -393,13 +395,8 @@ def cmd_eval(opts):
         artifacts.append(hist_path.name)
         if opts["dump_latent"]:
             latent_path = out / "latent.csv"
-            with latent_path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"z{j}" for j in range(Z.shape[1])]
-                                + ["assignment", "protected"])
-                for i in range(len(Z)):
-                    writer.writerow([repr(float(v)) for v in Z[i]]
-                                    + [int(assignments[i]), int(ds.protected[i])])
+            data.write_rows(latent_path, [f"z{j}" for j in range(Z.shape[1])]
+                            + ["assignment", "protected"], Z, assignments, ds.protected)
             artifacts.append(latent_path.name)
         _write_manifest(out, "eval", artifacts)
     return 0
@@ -414,6 +411,7 @@ def cmd_sweep(opts):
         raise CliError("--latent is required for a K sweep")
     if axis == "gamma" and opts["k"] is None:
         raise CliError("--k is required for a gamma sweep")
+    threads = _thread_count()
 
     ds = _load_dataset(opts)
     out = Path(opts["out"])
@@ -427,12 +425,12 @@ def cmd_sweep(opts):
         point[axis] = value
         point_dir = out / f"{axis}_{value:g}" if axis == "gamma" else out / f"k_{value}"
         try:
-            agg = _run_seeds(ds, ae_params, point, opts["seeds"], point_dir)
+            agg = _run_seeds(ds, ae_params, point, opts["seeds"], point_dir, threads)
         except Exception as exc:
             rows.append({"value": value, "error": str(exc)})
             continue
         row = {"value": value}
-        for name in AGG_FIELDS:
+        for name in metrics.SUMMARY_FIELDS:
             stats = agg["metrics"][name]
             row[name] = stats if stats is None else {k: stats[k] for k in ("mean", "median", "std")}
         if agg["failures"]:
@@ -444,12 +442,12 @@ def cmd_sweep(opts):
     with table_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = [axis]
-        for name in AGG_FIELDS:
+        for name in metrics.SUMMARY_FIELDS:
             header += [f"{name}_median", f"{name}_mean", f"{name}_std"]
         writer.writerow(header + ["error"])
         for row in rows:
             line = [repr(float(row["value"]))]
-            for name in AGG_FIELDS:
+            for name in metrics.SUMMARY_FIELDS:
                 stats = row.get(name)
                 if stats is None:
                     line += ["", "", ""]
@@ -478,7 +476,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         opts = resolve(args, args.command)
-        if opts.get("normalize", "none") not in ("minmax", "zscore", "none"):
+        if opts.get("normalize", "none") not in (*data.NORMALIZATIONS, "none"):
             raise CliError(f"unknown normalization mode {opts['normalize']!r}")
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

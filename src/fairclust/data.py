@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import Rng, read_json
+from .nn import Rng, read_json, require_finite
 
 ROLES = ("feature", "categorical", "label", "protected")
+NORMALIZATIONS = ("minmax", "zscore")
 MANIFEST_VERSION = 1
 
 
@@ -94,6 +95,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_points < 1 or self.dims < 1 or self.n_blobs < 1:
             raise ValueError("n_points, dims and n_blobs must be positive")
         if self.T < 2:
@@ -254,8 +256,10 @@ def _checked_cells(row_no, row, numeric_idx, feature_cols):
     return values
 
 
-def normalize(ds, mode="minmax"):
-    """Column-wise rescaling; constant columns map to all zeros."""
+def normalize(ds, mode):
+    """Column-wise rescaling by mode, one of NORMALIZATIONS: "minmax" to
+    [0, 1] or "zscore" to zero mean and unit sample std. Constant columns
+    map to all zeros."""
     if ds.n < 2:
         raise ValueError("normalization needs at least 2 rows")
     x = ds.features
@@ -366,12 +370,8 @@ def save_csv(ds, path):
         roles["label"] = "label"
     header.append("protected")
     roles["protected"] = "protected"
-    # data rows need no quoting: one format writes each as csv.writer would
-    row_format = ",".join(["%r"] * ds.d + ["%d"] * (len(header) - ds.d)) + "\r\n"
-    ints = [a.tolist() for a in (ds.labels, ds.protected) if a is not None]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(row_format % (*row, *tail) for row, *tail in zip(ds.features.tolist(), *ints))
+    write_rows(path, header, ds.features,
+               *(a for a in (ds.labels, ds.protected) if a is not None))
     manifest = {
         "schema_version": MANIFEST_VERSION,
         "n": ds.n,
@@ -382,6 +382,17 @@ def save_csv(ds, path):
     manifest_path = manifest_path_for(path)
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest_path
+
+
+def write_rows(path, header, floats, *int_columns):
+    """Write a CSV: the header, then per row the float matrix's row
+    followed by that row's entry of each int column. Data rows need no
+    quoting, so one format writes each as csv.writer would."""
+    row_format = ",".join(["%r"] * floats.shape[1] + ["%d"] * len(int_columns)) + "\r\n"
+    ints = [c.tolist() for c in int_columns]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row_format % (*row, *tail) for row, *tail in zip(floats.tolist(), *ints))
 
 
 def manifest_path_for(csv_path):

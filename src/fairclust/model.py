@@ -24,6 +24,7 @@ from . import metrics
 from .autoencoder import encode
 from .clustering import distortion, kmeans_pp_init, lloyd, nearest_assign, squared_distances
 from .nn import (
+    MOMENTUM,
     ParamSet,
     Rng,
     backward,
@@ -32,6 +33,7 @@ from .nn import (
     pack_array,
     read_json,
     require_fields,
+    require_finite,
     sgd_step,
     squared_error,
     squared_error_grad,
@@ -42,7 +44,6 @@ log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "fairclust-model"
 MODEL_VERSION = 2
-MOMENTUM = 0.9
 CENTROIDS = "centroids"
 
 # The combined objective sums a per-sample clustering KL and a fairness KL
@@ -50,6 +51,9 @@ CENTROIDS = "centroids"
 # of the fairness weight so its useful range spans 1e-2 (negligible) to
 # 1e3 (dominant); the sum-form objective leaves this constant open.
 FAIRNESS_NORM_FACTOR = 2.5
+
+# k-means++ seedings that `init_centroids` refines and picks from.
+CENTROID_SEEDINGS = 10
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.K < 2:
             raise ValueError("K must be at least 2")
         if self.gamma < 0:
@@ -253,12 +258,12 @@ def _refresh_targets(Z, Q, M, protected, T, cfg):
     return P, fairoids, soft_assign(M, fairoids, cfg.dof)
 
 
-def init_centroids(Z, K, rng, n_init=10):
-    """Best of n_init k-means++ seedings refined by Lloyd (20 iterations,
-    tol 1e-4), selected by distortion."""
+def init_centroids(Z, K, rng):
+    """Best of CENTROID_SEEDINGS k-means++ seedings, each refined by `lloyd`
+    with its default stopping rule, selected by distortion."""
     best, best_cost = None, np.inf
-    for _ in range(n_init):
-        M, assign = lloyd(Z, kmeans_pp_init(Z, K, rng), max_iters=20, tol=1e-4)
+    for _ in range(CENTROID_SEEDINGS):
+        M, assign = lloyd(Z, kmeans_pp_init(Z, K, rng))
         cost = distortion(Z, M, assign)
         if cost < best_cost:
             best, best_cost = M, cost

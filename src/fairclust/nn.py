@@ -25,7 +25,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,9 @@ ACTIVATIONS = ("identity", "relu")
 PARAMS_FORMAT = "fairclust-params"
 PARAMS_VERSION = 2
 ARRAY_DTYPE = "<f8"
+
+# Momentum of both SGD loops: autoencoder pretraining and joint training.
+MOMENTUM = 0.9
 
 # Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
 # 66 MB whatever the row count.
@@ -117,16 +120,14 @@ class AffineLayer:
         return layer
 
 
-def init_layer(n_in, n_out, activation, rng, std=None):
+def init_layer(n_in, n_out, activation, rng):
     """Zero-mean Gaussian weights, zero biases.
 
-    The default std is scale aware (sqrt(2/n_in) for relu, sqrt(1/n_in)
-    otherwise): a fixed small std starves narrow networks of signal and
+    The std is scale aware, sqrt(2/n_in) for relu and sqrt(1/n_in)
+    otherwise: a fixed small std starves narrow networks of signal and
     collapses the bottleneck.
     """
-    if std is None:
-        gain = 2.0 if activation == "relu" else 1.0
-        std = np.sqrt(gain / n_in)
+    std = np.sqrt((2.0 if activation == "relu" else 1.0) / n_in)
     return AffineLayer(std * rng.standard_normal((n_in, n_out)), np.zeros(n_out), activation)
 
 
@@ -226,7 +227,9 @@ class ParamSet:
     def from_payload(cls, payload):
         """Rebuilds the layout from the recorded shapes and lets the reader
         for the payload's version fill one new buffer, which the set owns.
-        A missing field is a ValueError naming it."""
+        Each layer record needs a name no earlier record uses and a shape
+        of two positive ints; a record that breaks this, or lacks a field,
+        is a ValueError naming `layers[i]` and the field."""
         if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
             raise ValueError("not a fairclust parameter checkpoint")
         read = _PARAMS_READERS.get(payload.get("version"))
@@ -235,11 +238,22 @@ class ParamSet:
         require_fields(payload, ("layers",))
         layout, offset = {}, 0
         for i, rec in enumerate(payload["layers"]):
-            require_fields(rec, ("name", "shape", "activation"), f"layers[{i}]: ")
-            (n_in, n_out), activation = rec["shape"], rec["activation"]
+            where = f"layers[{i}]: "
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}must be an object, got {rec!r}")
+            require_fields(rec, ("name", "shape", "activation"), where)
+            name, shape, activation = rec["name"], rec["shape"], rec["activation"]
+            if not isinstance(name, str):
+                raise ValueError(f"{where}name: must be a string, got {name!r}")
+            if name in layout:
+                raise ValueError(f"{where}name: {name!r} is used by an earlier record")
+            if not (isinstance(shape, list) and len(shape) == 2
+                    and all(type(n) is int and n > 0 for n in shape)):
+                raise ValueError(f"{where}shape: must be two positive ints, got {shape!r}")
             if activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {activation!r}")
-            layout[rec["name"]] = (offset, (n_in, n_out), activation)
+            n_in, n_out = shape
+            layout[name] = (offset, (n_in, n_out), activation)
             offset += n_in * n_out + n_out
         out = cls.__new__(cls)._attach(layout, read(payload, layout, offset))
         if not np.all(np.isfinite(out.buffer)):
@@ -338,6 +352,16 @@ def load_params(path):
         return ParamSet.from_payload(payload)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def require_finite(config):
+    """A ValueError naming the first float field of the dataclass instance
+    config whose value is nan or infinite. Range checks compare against
+    bounds, and nan passes every comparison that reads "not out of range"."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def require_fields(record, names, where=""):

@@ -34,6 +34,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             AeConfig(dims=(4, 2), dropout=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["lr_pretrain", "dropout"])
+    def test_non_finite_float_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            AeConfig(dims=(4, 2), **{name: value})
+
+    def test_out_of_range_messages(self):
+        with pytest.raises(ValueError, match="^lr_pretrain must be positive$"):
+            AeConfig(dims=(4, 2), lr_pretrain=0.0)
+        with pytest.raises(ValueError, match=r"^dropout must lie in \[0, 1\)$"):
+            AeConfig(dims=(4, 2), dropout=-0.5)
+
     def test_dims_must_match_data(self):
         cfg = AeConfig(dims=(5, 2), layerwise_epochs=1, global_epochs=0, batch=8)
         with pytest.raises(ValueError, match="dims start at 5"):
@@ -99,7 +111,7 @@ class TestFinetuneGlobal:
     def test_zero_epochs_unchanged(self):
         X = toy_data()
         params = init_params((3, 2), Rng(0).stream("init"))
-        tuned, log = finetune_global(X, params, epochs=0, lr=0.1)
+        tuned, log = finetune_global(X, params, epochs=0, lr=0.1, batch=256, rng=Rng(0))
         np.testing.assert_array_equal(tuned["enc0"].weight, params["enc0"].weight)
         assert len(log) == 1  # starting loss only
 

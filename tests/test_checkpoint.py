@@ -288,6 +288,49 @@ class TestMissingAndShortFields:
                 path, f"network: layers\\[1\\]: {field}: missing$")):
             model.load_model(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("i, field, value, message", [
+        (0, "shape", 5, "shape: must be two positive ints, got 5"),
+        (0, "shape", [4, "6"], "shape: must be two positive ints, got [4, '6']"),
+        (0, "shape", [4.0, 6], "shape: must be two positive ints, got [4.0, 6]"),
+        (0, "shape", [-4, 6], "shape: must be two positive ints, got [-4, 6]"),
+        (0, "shape", [True, 6], "shape: must be two positive ints, got [True, 6]"),
+        (0, "shape", [4, 6, 1], "shape: must be two positive ints, got [4, 6, 1]"),
+        (0, "name", 7, "name: must be a string, got 7"),
+        (1, "name", "enc0", "name: 'enc0' is used by an earlier record"),
+    ])
+    def test_bad_layer_record(self, tmp_path, version, i, field, value, message):
+        if version == 1:
+            saved = json.loads((V1 / "ae.json").read_text())
+        else:
+            nn.save_params(load_params(V1 / "ae.json"), tmp_path / "v2.json")
+            saved = json.loads((tmp_path / "v2.json").read_text())
+        saved["layers"][i][field] = value
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, re.escape(f"layers[{i}]: {message}") + "$")):
+            load_params(path)
+
+    def test_layer_record_that_is_not_an_object(self, tmp_path):
+        saved = json.loads((V1 / "ae.json").read_text())
+        saved["layers"][2] = 5
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, re.escape("layers[2]: must be an object, got 5") + "$")):
+            load_params(path)
+
+    def test_eval_names_path_and_layer_record(self, tmp_path, capsys):
+        saved = json.loads((V1 / "model.json").read_text())
+        saved["network"]["layers"][0]["shape"] = 5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(saved))
+        code = cli.main(["eval", "--model", str(path), "--data", str(V1 / "data.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {path}: network: layers[0]: shape: "
+                                           "must be two positive ints, got 5\n")
+
     @pytest.mark.parametrize("field, held, needed", [("weight", 23, 24), ("bias", 7, 6)])
     def test_version_1_layer_of_the_wrong_length(self, tmp_path, field, held, needed):
         # the fixture's enc0 is a 4x6 layer

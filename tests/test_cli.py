@@ -1,14 +1,26 @@
+import csv
+import io
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
+from fairclust import autoencoder, clustering, data, model
+from fairclust.autoencoder import AeConfig
 from fairclust.cli import main, parse_config_file
+from fairclust.data import SynthSpec, save_csv, synth_blobs
+from fairclust.model import TrainConfig
+from fairclust.nn import Rng
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def no_reads(*args, **kwargs):
+    raise AssertionError("a file was read")
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +78,13 @@ class TestSynth:
 
 
 class TestPretrain:
+    def test_non_finite_setting_is_usage_error(self, synth_dir, tmp_path, capsys):
+        code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--hidden", "8",
+                       "--latent", 2, "--lr-pretrain", "nan", "--out", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: lr_pretrain must be finite, got nan\n"
+        assert not (tmp_path / "ae.json").exists()
+
     def test_checkpoint_and_log(self, synth_dir, tmp_path):
         code = run_cli("pretrain", "--data", synth_dir / "data.csv",
                        "--normalize", "none", "--hidden", "8", "--latent", 2,
@@ -95,6 +114,19 @@ class TestPretrain:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("flag, field", [("--clip-norm", "clip_norm"),
+                                             ("--convergence-tol", "convergence_tol"),
+                                             ("--lr", "lr"), ("--gamma", "gamma")])
+    def test_non_finite_setting_refused_before_any_read(self, tmp_path, monkeypatch,
+                                                        capsys, flag, field):
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
+        value = "inf" if field == "gamma" else "nan"
+        code = run_cli("train", "--data", tmp_path / "data.csv", "--latent", 2, "--k", 2,
+                       flag, value, "--out", tmp_path / "t")
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {field} must be finite, got {value}\n"
+
     @pytest.mark.parametrize("command, axis", [("train", ()), ("sweep", ("--gamma-list", "0,1"))])
     def test_empty_seed_list_is_usage_error(self, synth_dir, tmp_path, capsys, command, axis):
         code = run_cli(command, "--data", synth_dir / "data.csv", "--latent", 2,
@@ -123,8 +155,6 @@ class TestTrain:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_seed_records_its_cause(self, synth_dir, tmp_path, monkeypatch, capsys,
                                            threads):
-        from fairclust import model
-
         real = model.train
 
         def fails_for_seed_2(ds, ae_params, cfg):
@@ -216,10 +246,25 @@ class TestEval:
         assert [assignments.count(entry["cluster"]) for entry in report["per_cluster"]] \
             == [entry["size"] for entry in report["per_cluster"]]
 
+    def test_latent_dump_equals_the_per_cell_writer(self, synth_dir, trained_dir, tmp_path):
+        path = trained_dir / "seed_1" / "model.json"
+        code = run_cli("eval", "--model", path, "--data", synth_dir / "data.csv",
+                       "--normalize", "none", "--dump-latent", "true", "--out", tmp_path)
+        assert code == 0
+        trained = model.load_model(path)
+        ds = data.load_with_manifest(synth_dir / "data.csv")
+        Z = autoencoder.encode(trained.params, ds.features)
+        assignments = clustering.nearest_assign(Z, trained.centroids)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["z0", "z1", "assignment", "protected"])
+        for i in range(len(Z)):
+            writer.writerow([repr(float(v)) for v in Z[i]]
+                            + [int(assignments[i]), int(ds.protected[i])])
+        assert (tmp_path / "latent.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_latent_dump_reuses_the_one_encoding(self, synth_dir, trained_dir, tmp_path,
                                                  monkeypatch):
-        from fairclust import autoencoder, model
-
         calls = []
         real = autoencoder.encode
 
@@ -241,11 +286,6 @@ class TestEval:
         assert reports[0] == reports[1]
 
     def test_bad_normalize_rejected_before_any_read(self, tmp_path, monkeypatch, capsys):
-        from fairclust import data, model
-
-        def no_reads(*args, **kwargs):
-            raise AssertionError("a file was read")
-
         monkeypatch.setattr(data, "load_csv", no_reads)
         monkeypatch.setattr(model, "load_model", no_reads)
         code = run_cli("eval", "--model", tmp_path / "model.json",
@@ -308,6 +348,40 @@ class TestSweep:
     def test_no_axis_rejected(self, synth_dir, tmp_path):
         code = run_cli("sweep", "--data", synth_dir / "data.csv", "--out", tmp_path)
         assert code == 1
+
+
+class TestClassDefaults:
+    """An option left unset keeps the default of the config class it sets."""
+
+    def test_train_config(self, synth_dir, tmp_path):
+        ae = tmp_path / "ae"
+        assert run_cli("pretrain", "--data", synth_dir / "data.csv", "--hidden", "8",
+                       "--latent", 2, "--layerwise-epochs", 2, "--global-epochs", 2,
+                       "--out", ae) == 0
+        out = tmp_path / "train"
+        assert run_cli("train", "--data", synth_dir / "data.csv", "--k", 2,
+                       "--pretrain", ae / "ae.json", "--out", out) == 0
+        saved = json.loads((out / "seed_0" / "model.json").read_text())
+        assert saved["config"] == asdict(TrainConfig(K=2, seed=0))
+
+    def test_pretrain_config(self, synth_dir, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(X, cfg):
+            seen.append(cfg)
+            return autoencoder.init_params((X.shape[1], 2), Rng(0).stream("init")), []
+
+        monkeypatch.setattr(autoencoder, "pretrain", capture)
+        assert run_cli("pretrain", "--data", synth_dir / "data.csv", "--latent", 2,
+                       "--out", tmp_path) == 0
+        assert seen == [AeConfig(dims=(4, 500, 500, 2000, 2))]
+
+    def test_synth_spec(self, tmp_path):
+        assert run_cli("synth", "--out", tmp_path / "cli") == 0
+        save_csv(synth_blobs(SynthSpec(n_points=1000, dims=10, n_blobs=4, T=4,
+                                       correlation=0.9)), tmp_path / "lib.csv")
+        assert (tmp_path / "cli" / "data.csv").read_bytes() \
+            == (tmp_path / "lib.csv").read_bytes()
 
 
 class TestConfigFile:
@@ -428,6 +502,18 @@ class TestEnvironment:
                        "--k", 2, "--seeds", "1", "--out", tmp_path)
         assert code == 1
         assert "FAIRCLUST_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "ae.json").exists()
+
+    def test_invalid_thread_env_stops_a_sweep_before_any_work(self, synth_dir, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.setenv("FAIRCLUST_THREADS", "zero")
+        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
+                       "--hidden", "8", "--latent", 2, "--k", 2, "--gamma-list", "0.1,1",
+                       "--out", tmp_path)
+        assert code == 1
+        assert "FAIRCLUST_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "ae.json").exists()
 
     def test_console_script_entry_point(self, tmp_path):
         result = subprocess.run(

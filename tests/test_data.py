@@ -21,6 +21,7 @@ from fairclust.data import (
     save_csv,
     split,
     synth_blobs,
+    write_rows,
 )
 
 
@@ -298,6 +299,13 @@ class TestSynthBlobs:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SynthSpec(n_points=10, dims=2, n_blobs=2, T=2, correlation=1.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["correlation", "blob_spread"])
+    def test_non_finite_float_refused(self, name, value):
+        fields = {"n_points": 10, "dims": 2, "n_blobs": 2, "T": 2, "correlation": 0.5}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            SynthSpec(**{**fields, name: value})
         with pytest.raises(ValueError):
             SynthSpec(n_points=10, dims=2, n_blobs=2, T=1, correlation=0.5)
         with pytest.raises(ValueError):
@@ -386,6 +394,19 @@ class TestExport:
                             + ([str(int(ds.labels[i]))] if labels else [])
                             + [str(int(ds.protected[i]))])
         assert (tmp_path / "d.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_rows_equal_the_per_cell_writer(self, tmp_path):
+        # 51 magnitudes from 1e-300 to 1e300, each sign, plus edge values
+        values = np.concatenate([np.logspace(-300, 300, 51), -np.logspace(-300, 300, 51),
+                                 [-0.0, 5e-324, 1e16, 0.1]]).reshape(-1, 2)
+        ints = np.arange(len(values)), np.arange(len(values)) % 3
+        write_rows(tmp_path / "rows.csv", ["x", "y", "i", "j"], values, *ints)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["x", "y", "i", "j"])
+        for row, i, j in zip(values, *ints):
+            writer.writerow([repr(float(v)) for v in row] + [int(i), int(j)])
+        assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_manifest_required_when_schema_absent(self, tmp_path):
         path = tmp_path / "x.csv"

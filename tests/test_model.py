@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,28 @@ from fairclust.nn import AffineLayer, ParamSet, Rng, backward, finite_diff_check
 def row_stochastic(rng, rows, cols, low=0.05):
     m = rng.uniform(low, 1.0, size=(rows, cols))
     return m / m.sum(axis=1, keepdims=True)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gamma", "beta", "epsilon", "dof", "lr",
+                                      "convergence_tol", "recon_weight", "clip_norm"])
+    def test_non_finite_float_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(K=2, **{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma", -1.0, "gamma must be non-negative"),
+        ("epsilon", 0.0, "epsilon must be positive"),
+        ("dof", 0.0, "dof must be positive"),
+        ("lr", 0.0, "lr must be positive"),
+        ("convergence_tol", -1.0, "convergence_tol must be non-negative"),
+        ("recon_weight", -1.0, "recon_weight must be non-negative"),
+        ("clip_norm", -1.0, "clip_norm must be non-negative (0 disables clipping)"),
+    ])
+    def test_out_of_range_messages(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(K=2, **{name: value})
 
 
 class TestTargetProperties:
@@ -590,7 +613,7 @@ class TestInitCentroids:
         rng = np.random.default_rng(9)
         Z = np.vstack([rng.standard_normal((50, 2)),
                        rng.standard_normal((50, 2)) + 8.0])
-        M = init_centroids(Z, 2, Rng(0).stream("kmeans"), n_init=10)
+        M = init_centroids(Z, 2, Rng(0).stream("kmeans"))
         assign = nearest_assign(Z, M)
         assert 0 < assign.sum() < 100
         gap = np.sqrt(((M[0] - M[1]) ** 2).sum())
