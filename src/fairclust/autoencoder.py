@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
-    MOMENTUM,
     ParamSet,
     Rng,
     apply,
     backward,
-    clip_gradients,
     forward,
     init_layer,
     require_finite,
@@ -85,33 +83,24 @@ def reconstruction_squared_error(params, X):
     return squared_error(apply(params.layers(), X), X)
 
 
-def _sgd_epoch(params, velocity, X, order, lr, batch, dropout, noise_stream):
-    """One reconstruction epoch on copies of params and velocity, so the
-    caller can roll it back; returns (params, velocity, post-epoch loss).
-    A non-finite gradient (`sgd_step`'s RuntimeError) or loss, the sign of
-    divergence, surfaces as an infinite loss; any other error propagates.
-    """
-    params, velocity = params.copy(), velocity.copy()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream)
-            loss = squared_error(apply(params.layers(), X), X)
-        except RuntimeError:
-            return params, velocity, np.inf
-    return params, velocity, loss if np.isfinite(loss) else np.inf
-
-
 def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream):
-    """The epoch's minibatch updates, in place. One gradient set serves
-    every minibatch (`backward` overwrites all of it each step); it is freed
-    on return, so the full-data loss pass after it does not hold it."""
+    """The epoch's minibatch updates, in place. Each batch is corrupted
+    with inverted dropout when dropout > 0: a unit is zeroed with
+    probability dropout and survivors are scaled by 1/(1-dropout), so the
+    clean passes need no rescaling; the tape records the corrupted batch.
+    One gradient set serves every minibatch (`backward` overwrites all of
+    it each step); it is freed on return, with the last batch's tape, so
+    the full-data loss pass after the sweep does not hold them."""
     grads = params.zeros_like()
     layers, grad_layers = params.layers(), grads.layers()
     for start in range(0, len(X), batch):
         xb = X[order[start : start + batch]]
-        out, tape = forward(layers, xb, noise=dropout, rng=noise_stream)
+        xin = xb
+        if dropout:
+            xin = xb * ((noise_stream.random(xb.shape) >= dropout) / (1.0 - dropout))
+        out, tape = forward(layers, xin)
         backward(tape, squared_error_grad(out, xb), grad_layers)
-        sgd_step(params, clip_gradients(grads, CLIP_NORM), lr, MOMENTUM, velocity)
+        sgd_step(params, grads, velocity, lr, CLIP_NORM)
 
 
 def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
@@ -119,22 +108,30 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
     [(epoch, clean full-data loss, learning rate), ...]) from epoch 0, the
     starting loss.
 
-    An epoch that goes non-finite or more than doubles the previous loss
-    is rolled back, the rate halved, and the epoch retried once; if the
-    retry is still bad the epoch stays rolled back and the halved rate
-    carries forward. A learning rate driven to the floor signals
-    divergence.
+    Each epoch trains copies of params and velocity with one
+    `_minibatch_sweep`, so a bad epoch can be rolled back. An epoch whose
+    sweep meets a non-finite gradient (`sgd_step`'s RuntimeError), whose
+    loss is not finite, or whose loss more than doubles the previous one is
+    rolled back, the rate halved, and the epoch retried once; if the retry
+    is still bad the epoch stays rolled back and the halved rate carries
+    forward. A learning rate driven to the floor signals divergence.
     """
     velocity = params.zeros_like()
     shuffle = rng.stream("shuffle")
     noise_stream = rng.stream("dropout") if dropout else None
-    prev = squared_error(apply(params.layers(), X), X)
+    prev = reconstruction_squared_error(params, X)
     history = [(0, prev, lr)]
     for epoch in range(1, epochs + 1):
         order = shuffle.permutation(len(X))
         for attempt in (0, 1):
-            trial_p, trial_v, loss = _sgd_epoch(params, velocity, X, order, lr,
-                                                batch, dropout, noise_stream)
+            trial_p, trial_v = params.copy(), velocity.copy()
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    _minibatch_sweep(trial_p, trial_v, X, order, lr, batch, dropout,
+                                     noise_stream)
+                    loss = reconstruction_squared_error(trial_p, X)
+                except RuntimeError:
+                    loss = np.inf
             if loss <= 2.0 * prev:
                 params, velocity, prev = trial_p, trial_v, loss
                 break

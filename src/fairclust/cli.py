@@ -161,7 +161,8 @@ def parse_config_file(path):
 
 
 def resolve(args, command):
-    """Merge flag > file > default into a plain options dict."""
+    """Merge flag > file > default into a plain options dict. A value its
+    converter refuses is a usage error naming the flag or file key."""
     opts = COMMAND_OPTS[command]
     from_file = parse_config_file(args.config) if args.config else {}
     unknown = set(from_file) - set(opts) - {"out"}
@@ -169,10 +170,13 @@ def resolve(args, command):
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
     for dest, (convert, default, _) in opts.items():
-        raw = getattr(args, dest)
+        raw, where = getattr(args, dest), "--" + dest.replace("_", "-")
         if raw is None and dest in from_file:
-            raw = from_file[dest]
-        resolved[dest] = convert(raw) if raw is not None else default
+            raw, where = from_file[dest], f"{args.config}: {dest}"
+        try:
+            resolved[dest] = convert(raw) if raw is not None else default
+        except ValueError:
+            raise CliError(f"{where}: invalid value {raw!r}") from None
     resolved["out"] = args.out if args.out is not None else from_file.get("out")
     missing = [k for k in REQUIRED[command] if resolved.get(k) is None]
     if missing:
@@ -343,11 +347,11 @@ def _resolve_ae(ds, opts, out):
         params, artifacts = _pretrain_ae(ds, opts, out)
         return params, artifacts
     params = load_params(opts["pretrain"])
-    if params.layers("enc")[0].n_in != ds.d:
-        raise ValueError(
-            f"checkpoint expects {params.layers('enc')[0].n_in} features, "
-            f"dataset has {ds.d}"
-        )
+    encoder = params.layers("enc")
+    if not encoder:
+        raise ValueError(f"{opts['pretrain']}: no encoder layers")
+    if encoder[0].n_in != ds.d:
+        raise ValueError(f"checkpoint expects {encoder[0].n_in} features, dataset has {ds.d}")
     return params, []
 
 
@@ -407,10 +411,12 @@ def cmd_sweep(opts):
         raise CliError("pass exactly one of --gamma-list or --k-list")
     axis = "gamma" if opts["gamma_list"] is not None else "k"
     values = opts["gamma_list"] if axis == "gamma" else opts["k_list"]
-    if axis == "k" and opts["k"] is None and opts["latent"] is None:
-        raise CliError("--latent is required for a K sweep")
+    if axis == "k" and opts["pretrain"] == "inline" and opts["latent"] is None:
+        raise CliError("--latent is required for a K sweep with inline pretraining")
     if axis == "gamma" and opts["k"] is None:
         raise CliError("--k is required for a gamma sweep")
+    for value in values:  # surface bad values of any point before any work
+        _train_config({**opts, axis: value}, opts["seeds"][0])
     threads = _thread_count()
 
     ds = _load_dataset(opts)

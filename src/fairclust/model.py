@@ -24,11 +24,9 @@ from . import metrics
 from .autoencoder import encode
 from .clustering import distortion, kmeans_pp_init, lloyd, nearest_assign, squared_distances
 from .nn import (
-    MOMENTUM,
     ParamSet,
     Rng,
     backward,
-    clip_gradients,
     forward,
     pack_array,
     read_json,
@@ -348,8 +346,7 @@ def train(ds, ae_params, cfg):
                                              fairoids, cfg)
                 if not np.isfinite(components["loss"]):
                     raise FloatingPointError("non-finite loss")
-                sgd_step(params, clip_gradients(grads, cfg.clip_norm), cfg.lr,
-                         MOMENTUM, velocity)
+                sgd_step(params, grads, velocity, cfg.lr, cfg.clip_norm)
             except (ValueError, RuntimeError, FloatingPointError) as exc:
                 raise RuntimeError(f"training failed at epoch {epoch}, batch {batches} "
                                    f"(last finite mean loss {last_mean}): {exc}") from exc

@@ -6,11 +6,13 @@ Tensors are plain float64 numpy arrays in row-major order; a data matrix is
 buffer, and its layers are views into that buffer; a gradient is a second
 ParamSet with the same layout. A layer step makes one new array, its
 output. `forward` keeps a tape of layer inputs and outputs for `backward`;
-`apply`, for inference, keeps none and runs in row chunks. `backward`
-writes the layer gradients into the views its caller passes, and
-`clip_gradients` and `sgd_step` (block by block) update the ParamSets they
-are given in place, so a training loop allocates its gradient set once and
-copies a set before training it when the original must survive.
+`apply`, for inference, keeps none and runs in row chunks; neither
+corrupts its input, as dropout belongs to pretraining. `backward` writes
+the layer gradients into the views its caller passes. `sgd_step` is the
+one training step of both loops: it clips the gradients to a global norm
+and then applies momentum `MOMENTUM`, block by block, in place. So a
+training loop allocates its gradient and velocity sets once and copies a
+set before training it when the original must survive.
 
 Checkpoints are JSON. Format version 2 stores each float array as a
 `pack_array` record: base64 of its little-endian float64 bytes with its
@@ -36,7 +38,7 @@ PARAMS_FORMAT = "fairclust-params"
 PARAMS_VERSION = 2
 ARRAY_DTYPE = "<f8"
 
-# Momentum of both SGD loops: autoencoder pretraining and joint training.
+# Momentum of `sgd_step`, the step of pretraining and joint training alike.
 MOMENTUM = 0.9
 
 # Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
@@ -236,6 +238,8 @@ class ParamSet:
         if read is None:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
         require_fields(payload, ("layers",))
+        if not isinstance(payload["layers"], list):
+            raise ValueError(f"layers: must be a list, got {payload['layers']!r}")
         layout, offset = {}, 0
         for i, rec in enumerate(payload["layers"]):
             where = f"layers[{i}]: "
@@ -407,24 +411,15 @@ def _layer_step(i, layer, h):
     return np.maximum(out, 0.0, out=out) if layer.activation == "relu" else out
 
 
-def forward(layers, x, noise=0.0, rng=None):
+def forward(layers, x):
     """Run x through the layer stack, returning (output, tape).
 
-    When noise > 0 the input is corrupted with inverted dropout: each unit
-    is zeroed independently with probability `noise` and survivors are
-    scaled by 1/(1-noise), so evaluation needs no rescaling. Corruption is
-    only applied when a rate is passed (training mode). The tape holds
-    each layer's (input, output); the last output is the array returned.
+    The tape holds each layer's (input, output); the last output is the
+    array returned. Corruption is not applied here: a caller that trains
+    on noisy inputs, as pretraining does, passes the corrupted batch.
     """
-    x = _matrix(x)
-    if noise:
-        if not 0.0 < noise < 1.0:
-            raise ValueError("noise rate must lie in (0, 1)")
-        if rng is None:
-            raise ValueError("dropout corruption requires an rng stream")
-        x = x * ((rng.random(x.shape) >= noise) / (1.0 - noise))
     steps = []
-    h = x
+    h = _matrix(x)
     for i, layer in enumerate(layers):
         out = _layer_step(i, layer, h)
         steps.append((h, out))
@@ -452,8 +447,8 @@ def backward(tape, upstream, out, input_grad=False):
     Writes each layer's (dweight, dbias) into out, a list of gradient
     layers in forward order such as `grads.layers("enc")`, overwriting what
     they held. Returns the gradient with respect to the input the tape
-    recorded (after any dropout corruption) when input_grad is set; else
-    the first layer's `g @ weight.T` is not formed and None is returned.
+    recorded when input_grad is set; else the first layer's `g @ weight.T`
+    is not formed and None is returned.
     relu's mask is read as `output > 0`, the same booleans as `pre > 0`.
     """
     g = np.asarray(upstream, dtype=float)
@@ -497,35 +492,32 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
-    """Classic momentum update, in place: v <- m*v + g; p <- p - lr*v.
+def sgd_step(params, grads, velocity, lr, clip_norm):
+    """The training step of both loops, in place: clip grads to the global
+    norm clip_norm (0 disables clipping), then the classic momentum update
+    v <- MOMENTUM*v + g; p <- p - lr*v.
 
-    Updates params and velocity (made as zeros when None) in place and
-    returns (params, velocity); grads must share the layout of params. It
-    runs SGD_BLOCK values at a time, so lr*v is never parameter-sized.
-    Raises on non-finite gradients, the usual training divergence signal,
-    before any value is written.
+    grads and velocity must share the layout of params; grads is scaled by
+    the clip and velocity and params are updated. It runs SGD_BLOCK values
+    at a time, so lr*v is never parameter-sized. Raises on non-finite
+    gradients, the usual training divergence signal, before any value is
+    written.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
     if grads._layout is not params._layout and grads._layout != params._layout:
         raise ValueError("gradient layout does not match the parameters")
-    g = grads.buffer
+    g = clip_gradients(grads, clip_norm).buffer
     blocks = [slice(start, start + SGD_BLOCK) for start in range(0, g.size, SGD_BLOCK)]
     if not all(np.isfinite(g[b]).all() for b in blocks):
         first = int(np.argmin(np.isfinite(g)))
         name = [n for n, (offset, _, _) in grads._layout.items() if offset <= first][-1]
         raise RuntimeError(f"non-finite gradient for entry {name!r}")
-    if velocity is None:
-        velocity = params.zeros_like()
     for b in blocks:
         v = velocity.buffer[b]
-        v *= momentum
+        v *= MOMENTUM
         v += g[b]
         params.buffer[b] -= v * lr
-    return params, velocity
 
 
 def finite_diff_check(loss_and_grad, params, h=1e-4, sample=30, rng=None):

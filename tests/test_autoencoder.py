@@ -155,6 +155,62 @@ class TestFinetuneGlobal:
         assert reconstruction_squared_error(params, X) == pytest.approx(final)
 
 
+class TestDropoutCorruption:
+    # pretraining corrupts each minibatch itself; `nn.forward` runs the
+    # batch it is given
+
+    def sweep_inputs(self, X, dropout, stream, batch=None):
+        """The (forward input, reconstruction target) of each batch of one
+        `_minibatch_sweep`, and each batch's tape."""
+        seen, tapes = [], []
+        real_forward, real_grad = autoencoder.forward, autoencoder.squared_error_grad
+
+        def traced_forward(layers, x):
+            out, tape = real_forward(layers, x)
+            seen.append([x])
+            tapes.append(tape)
+            return out, tape
+
+        def traced_grad(out, target):
+            seen[-1].append(target)
+            return real_grad(out, target)
+
+        params = init_params((X.shape[1], 2), Rng(0).stream("init"))
+        with mock.patch.object(autoencoder, "forward", traced_forward), \
+                mock.patch.object(autoencoder, "squared_error_grad", traced_grad):
+            autoencoder._minibatch_sweep(params, params.zeros_like(), X, np.arange(len(X)),
+                                         0.01, batch or len(X), dropout, stream)
+        return seen, tapes
+
+    def test_survivor_fraction_and_scale(self):
+        # rate 0.5 over 10,000 units: survivors within 0.5 +/- 0.02, scaled x2
+        X = np.ones((100, 100))
+        [(x, target)], [tape] = self.sweep_inputs(X, 0.5, Rng(3).stream("dropout"))
+        survivors = x != 0
+        assert abs(survivors.mean() - 0.5) < 0.02
+        np.testing.assert_array_equal(x[survivors], 2.0)
+        # the tape keeps the corrupted input for the backward pass; the
+        # reconstruction target is the clean batch
+        assert tape.steps[0][0] is x
+        np.testing.assert_array_equal(target, X)
+
+    def test_deterministic_given_seed(self):
+        X = toy_data(20, 50, seed=1)
+        runs = [self.sweep_inputs(X, 0.3, Rng(seed).stream("dropout"), batch=8)[0]
+                for seed in (9, 9, 10)]
+        inputs = [[x for x, _ in run] for run in runs]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs[0], inputs[1]))
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(inputs[0], inputs[2]))
+
+    def test_no_corruption_and_no_stream_at_rate_zero(self):
+        X = toy_data(20, 5, seed=2)
+        seen, _ = self.sweep_inputs(X, 0.0, None, batch=8)
+        assert [len(x) for x, _ in seen] == [8, 8, 4]
+        for x, target in seen:
+            assert x is target
+        np.testing.assert_array_equal(np.vstack([x for x, _ in seen]), X)
+
+
 class TestEncodeDecode:
     def test_identity_initialized_square_layers(self):
         params = ParamSet({

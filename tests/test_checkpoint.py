@@ -278,6 +278,31 @@ class TestMissingAndShortFields:
         with pytest.raises(ValueError, match=starts_with_path(path, "layers: missing$")):
             load_params(path)
 
+    @pytest.mark.parametrize("value", [5, {"name": "enc0"}, "enc0"])
+    def test_params_whose_layers_are_not_a_list(self, tmp_path, capsys, value):
+        saved = json.loads((V1 / "ae.json").read_text())
+        saved["layers"] = value
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(saved))
+        message = f"layers: must be a list, got {value!r}"
+        with pytest.raises(ValueError, match=starts_with_path(path, re.escape(message) + "$")):
+            load_params(path)
+        code = cli.main(["train", "--data", str(V1 / "data.csv"), "--pretrain", str(path),
+                         "--k", "2", "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_train_from_params_without_encoder_layers(self, tmp_path, capsys):
+        saved = json.loads((V1 / "ae.json").read_text())
+        saved["layers"] = [rec for rec in saved["layers"] if rec["name"].startswith("dec")]
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(saved))
+        assert load_params(path).names() == ["dec0", "dec1"]
+        code = cli.main(["train", "--data", str(V1 / "data.csv"), "--pretrain", str(path),
+                         "--k", "2", "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: no encoder layers\n"
+
     @pytest.mark.parametrize("field", ["name", "shape", "activation"])
     def test_layer_record_missing_a_field(self, tmp_path, field):
         saved = json.loads((V1 / "model.json").read_text())

@@ -339,6 +339,38 @@ class TestSweep:
         assert lines[0].startswith("k,")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("point_flags, message", [
+        (("--gamma-list", "0,1", "--k", 2, "--lr", "nan"), "lr must be finite, got nan"),
+        (("--gamma-list", "0,-1", "--k", 2), "gamma must be non-negative"),
+        (("--k-list", "1,3", "--latent", 3), "K must be at least 2"),
+    ])
+    def test_every_point_checked_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                 point_flags, message):
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
+        code = run_cli("sweep", "--data", tmp_path / "data.csv", "--pretrain",
+                       tmp_path / "ae.json", *point_flags, "--out", tmp_path / "w")
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "w").exists()
+
+    def test_k_sweep_from_a_checkpoint_needs_no_latent(self, synth_dir, tmp_path, capsys):
+        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--k-list", "2,3",
+                       "--out", tmp_path / "inline")
+        assert code == 1
+        assert "--latent is required" in capsys.readouterr().err
+        code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--normalize", "none",
+                       "--hidden", "8", "--latent", 2, "--layerwise-epochs", 2,
+                       "--global-epochs", 2, "--out", tmp_path / "p")
+        assert code == 0
+        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
+                       "--pretrain", tmp_path / "p" / "ae.json", "--k-list", "2,3",
+                       "--batch", 128, "--max-epochs", 2, "--seeds", "1",
+                       "--out", tmp_path / "w")
+        assert code == 0
+        rows = json.loads((tmp_path / "w" / "sweep.json").read_text())["rows"]
+        assert [(r["value"], "error" in r) for r in rows] == [(2, False), (3, False)]
+
     def test_both_axes_rejected(self, synth_dir, tmp_path, capsys):
         code = run_cli("sweep", "--data", synth_dir / "data.csv",
                        "--gamma-list", "1", "--k-list", "2", "--out", tmp_path)
@@ -413,6 +445,25 @@ class TestConfigFile:
         manifest = json.loads((out_flag / "data.manifest.json").read_text())
         assert manifest["n"] == 60  # flag wins
         assert manifest["d"] == 3   # file still applies elsewhere
+
+    @pytest.mark.parametrize("argv, message", [
+        (("train", "--data", "d.csv", "--k", "abc"), "--k: invalid value 'abc'"),
+        (("synth", "--n", "1.5"), "--n: invalid value '1.5'"),
+        (("sweep", "--data", "d.csv", "--gamma-list", "1", "--lr", "fast"),
+         "--lr: invalid value 'fast'"),
+    ])
+    def test_flag_that_does_not_convert_is_usage_error(self, tmp_path, capsys, argv,
+                                                       message):
+        assert run_cli(*argv, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_value_that_does_not_convert_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = d.csv\nk = abc\n")
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"usage error: {cfg}: k: invalid value 'abc'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

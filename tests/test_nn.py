@@ -51,28 +51,6 @@ class TestForward:
         out, _ = forward([layer], np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
-    def test_dropout_survivor_fraction_and_scale(self):
-        # rate 0.5 over 10,000 units: survivors within 0.5 +/- 0.02, scaled x2
-        rng = Rng(3).stream("dropout")
-        layer = AffineLayer(np.eye(10_000), np.zeros(10_000), "identity")
-        x = np.ones((1, 10_000))
-        out, tape = forward([layer], x, noise=0.5, rng=rng)
-        survivors = out != 0
-        assert abs(survivors.mean() - 0.5) < 0.02
-        np.testing.assert_allclose(out[survivors], 2.0)
-        # the tape keeps the corrupted input for the backward pass
-        np.testing.assert_array_equal(tape.steps[0][0], out)
-
-    def test_no_noise_without_rng_is_allowed(self):
-        layer = AffineLayer(np.eye(2), np.zeros(2), "identity")
-        out, _ = forward([layer], np.zeros((3, 2)))
-        np.testing.assert_array_equal(out, np.zeros((3, 2)))
-
-    def test_noise_requires_rng(self):
-        layer = AffineLayer(np.eye(2), np.zeros(2), "identity")
-        with pytest.raises(ValueError, match="rng"):
-            forward([layer], np.zeros((3, 2)), noise=0.2)
-
     def test_shape_mismatch_names_layer(self):
         layers = [
             AffineLayer(np.eye(3), np.zeros(3), "relu"),
@@ -82,13 +60,6 @@ class TestForward:
             forward(layers, np.zeros((2, 3)))
         with pytest.raises(ValueError, match="layer 1"):
             apply(layers, np.zeros((2, 3)))
-
-    def test_forward_deterministic_given_seed(self):
-        layer = AffineLayer(np.eye(50), np.zeros(50), "identity")
-        x = np.random.default_rng(1).standard_normal((20, 50))
-        out1, _ = forward([layer], x, noise=0.3, rng=Rng(9).stream("dropout"))
-        out2, _ = forward([layer], x, noise=0.3, rng=Rng(9).stream("dropout"))
-        np.testing.assert_array_equal(out1, out2)
 
     def test_tape_holds_each_layers_input_and_output(self):
         params = random_params(np.random.default_rng(4), dims=(5, 7, 6, 3))
@@ -239,7 +210,9 @@ class TestBackward:
                                                     rng.standard_normal(n_out), act))
                           for i, (n_in, n_out, act) in enumerate(zip(widths, widths[1:], acts)))
         x = rng.standard_normal((rows, widths[0]))
-        out, tape = forward(params.layers(), x, noise=noise, rng=Rng(seed).stream("dropout"))
+        if noise:  # pretraining's corruption, as its tape records it
+            x = x * ((rng.random(x.shape) >= noise) / (1.0 - noise))
+        out, tape = forward(params.layers(), x)
         upstream = rng.standard_normal(out.shape)
         # the reference: every product formed from the tape, as new arrays
         g, expected = upstream, []
@@ -265,32 +238,40 @@ class TestSgdStep:
         return ParamSet({"p": AffineLayer(np.array([[value]]), np.zeros(1), "identity")})
 
     def test_plain_step(self):
+        # from rest the velocity is the gradient: p = 1 - 0.1 * 2
         params = self.one_param(1.0)
         grads = self.one_param(2.0)
-        updated, _ = sgd_step(params, grads, lr=0.1, momentum=0.0)
-        assert updated["p"].weight[0, 0] == pytest.approx(0.8)
+        assert sgd_step(params, grads, params.zeros_like(), 0.1, 0.0) is None
+        assert params["p"].weight[0, 0] == pytest.approx(0.8)
 
     def test_zero_gradient_is_fixed_point(self):
         params = self.one_param(3.5)
-        updated, _ = sgd_step(params, params.zeros_like(), lr=0.5, momentum=0.9)
-        assert updated["p"].weight[0, 0] == 3.5
+        sgd_step(params, params.zeros_like(), params.zeros_like(), 0.5, 5.0)
+        assert params["p"].weight[0, 0] == 3.5
 
     def test_momentum_accumulates(self):
         # two steps, g=1, lr=1, momentum 0.9: p goes 0 -> -1 -> -2.9
+        assert nn.MOMENTUM == 0.9
         params = self.one_param(0.0)
-        grads = self.one_param(1.0)
-        params, vel = sgd_step(params, grads, lr=1.0, momentum=0.9)
+        grads, vel = self.one_param(1.0), params.zeros_like()
+        sgd_step(params, grads, vel, 1.0, 0.0)
         assert params["p"].weight[0, 0] == pytest.approx(-1.0)
-        params, vel = sgd_step(params, grads, lr=1.0, momentum=0.9, velocity=vel)
+        sgd_step(params, grads, vel, 1.0, 0.0)
         assert params["p"].weight[0, 0] == pytest.approx(-2.9)
+        assert vel["p"].weight[0, 0] == pytest.approx(1.9)
 
     def test_non_finite_gradient_raises(self):
         params = self.one_param(1.0)
         grads = params.zeros_like()
         grads["p"].weight[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="non-finite gradient for entry 'p'"):
-            sgd_step(params, grads, lr=0.1)
+            sgd_step(params, grads, params.zeros_like(), 0.1, 5.0)
         assert params["p"].weight[0, 0] == 1.0
+
+    def test_non_positive_learning_rate_rejected(self):
+        params = self.one_param(1.0)
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(params, params.copy(), params.zeros_like(), 0.0, 0.0)
 
     def test_clip_rescales_large_gradients(self):
         grads = self.one_param(30.0)
@@ -302,7 +283,7 @@ class TestSgdStep:
         params = self.one_param(1.0)
         grads = ParamSet({"q": AffineLayer(np.array([[1.0]]), np.zeros(1), "identity")})
         with pytest.raises(ValueError, match="layout"):
-            sgd_step(params, grads, lr=0.1)
+            sgd_step(params, grads, params.zeros_like(), 0.1, 0.0)
 
     def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch):
         monkeypatch.setattr(nn, "SGD_BLOCK", 2)
@@ -310,7 +291,7 @@ class TestSgdStep:
         grads, velocity = params.copy(), params.copy()
         grads.buffer[-1] = np.inf
         with pytest.raises(RuntimeError, match="non-finite gradient for entry 'w'"):
-            sgd_step(params, grads, 0.1, 0.9, velocity)
+            sgd_step(params, grads, velocity, 0.1, 5.0)
         assert np.all(params.buffer == 1.0) and np.all(velocity.buffer == 1.0)
 
     def test_steps_allocate_no_parameter_sized_array(self, monkeypatch):
@@ -325,12 +306,12 @@ class TestSgdStep:
             finally:
                 tracemalloc.stop()
 
-        # 1M parameters, 8 MB per float64 copy; the step's one temporary
-        # is a block of lr * v and its finiteness mask
+        # 1M parameters, 8 MB per float64 copy; with clipping off, the
+        # update's one temporary is a block of lr * v and its finiteness mask
         params = ParamSet({"w": np.zeros((1000, 1000))})
         grads, velocity = params.copy(), params.zeros_like()
         grads.buffer[:] = 1.0
-        assert step_peak(params, grads, 0.1, 0.9, velocity) < 1_000_000
+        assert step_peak(params, grads, velocity, 0.1, 0.0) < 1_000_000
         np.testing.assert_array_equal(params.buffer, -0.1 * velocity.buffer)
 
         # in the training loops, from the end of one step to the end of the
@@ -339,13 +320,12 @@ class TestSgdStep:
         growth, ends = [], []
 
         def traced(*args):
-            out = sgd_step(*args)
+            sgd_step(*args)
             current, peak = tracemalloc.get_traced_memory()
             if ends:
                 growth.append(peak - ends[-1])
             ends.append(current)
             tracemalloc.reset_peak()
-            return out
 
         monkeypatch.setattr(autoencoder, "sgd_step", traced)
         monkeypatch.setattr(model, "sgd_step", traced)
@@ -371,24 +351,67 @@ class TestSgdStep:
         from fairclust import autoencoder
 
         params = init_params((200, 300, 2), Rng(0).stream("init"))
-        velocity = params.zeros_like()
         X = np.random.default_rng(0).random((16, 200))
-        live_at_loss = []
+        live_at_apply = []
         real_apply = autoencoder.apply
 
         def traced_apply(layers, x):
-            live_at_loss.append(tracemalloc.get_traced_memory()[0])
+            live_at_apply.append(tracemalloc.get_traced_memory()[0])
             return real_apply(layers, x)
 
         monkeypatch.setattr(autoencoder, "apply", traced_apply)
         tracemalloc.start()
         try:
-            autoencoder._sgd_epoch(params, velocity, X, np.arange(16), 0.01, 8, 0.0, None)
+            autoencoder.finetune_global(X, params, 1, 0.01, 8, Rng(0))
         finally:
             tracemalloc.stop()
-        # the epoch's copies of params and velocity are live; its gradient
-        # set (one more parameter-sized array) is not
-        assert live_at_loss[0] < 2.5 * params.n_params * 8
+        # at the epoch's loss pass (the second apply; the first is the
+        # starting loss) the velocity and the epoch's copies of params and
+        # velocity are live; the sweep's gradient set (one more
+        # parameter-sized array) is not
+        assert live_at_apply[1] < 3.5 * params.n_params * 8
+
+    @pytest.mark.parametrize("stage", ["global", "layerwise"])
+    def test_pretraining_loss_pass_holds_no_array_of_the_sweep(self, monkeypatch, stage):
+        # the last batch's forward output, tape and gradient set die with
+        # the sweep, before the full-data loss pass; the velocity lives on
+        import weakref
+
+        from fairclust import autoencoder
+
+        X = np.random.default_rng(0).random((24, 30))
+        refs, dead_at_loss_pass = [], []
+        real = {name: getattr(autoencoder, name) for name in ("apply", "forward", "sgd_step")}
+
+        def traced_forward(layers, x):
+            out, tape = real["forward"](layers, x)
+            refs.extend(weakref.ref(a) for a in (out, tape, *(h for s in tape.steps for h in s)))
+            return out, tape
+
+        def traced_sgd_step(params, grads, velocity, lr, clip_norm):
+            refs.extend((weakref.ref(grads), weakref.ref(grads.buffer)))
+            real["sgd_step"](params, grads, velocity, lr, clip_norm)
+
+        def traced_apply(layers, x):
+            if len(dead_at_loss_pass) == 0 and refs:  # the epoch's loss pass
+                dead_at_loss_pass.append([ref() is None for ref in refs])
+            return real["apply"](layers, x)
+
+        monkeypatch.setattr(autoencoder, "forward", traced_forward)
+        monkeypatch.setattr(autoencoder, "sgd_step", traced_sgd_step)
+        monkeypatch.setattr(autoencoder, "apply", traced_apply)
+        if stage == "global":  # four layers
+            params = init_params((30, 20, 2), Rng(0).stream("init"))
+            autoencoder.finetune_global(X, params, 1, 0.01, 8, Rng(0))
+            depth = 4
+        else:  # the first layer pair, on corrupted batches
+            cfg = autoencoder.AeConfig(dims=(30, 20, 2), layerwise_epochs=1,
+                                       global_epochs=0, batch=8, dropout=0.2)
+            autoencoder.pretrain_layerwise(X, cfg)
+            depth = 2
+        # 3 batches, each with its output, tape, a step of (input, output)
+        # per layer and a gradient set with its buffer
+        assert dead_at_loss_pass == [[True] * 3 * (2 + 2 * depth + 2)]
 
 
 class TestFiniteDiffCheck:
@@ -587,40 +610,53 @@ class TestProperties:
         if before <= max_norm:
             assert after == before
 
-    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.data())
-    def test_sgd_step_is_the_momentum_update(self, params, lr, momentum, data):
-        n = params.n_params
+    @given(param_sets(), st.floats(1e-4, 1.0), st.data())
+    def test_sgd_step_is_the_momentum_update(self, params, lr, data):
+        n, m = params.n_params, nn.MOMENTUM
         vectors = st.lists(finite, min_size=n, max_size=n)
         g, v = np.array(data.draw(vectors)), np.array(data.draw(vectors))
         p = params.flatten()
         velocity = params.unflatten(v)
-        updated, new_velocity = sgd_step(params, params.unflatten(g), lr, momentum, velocity)
-        assert updated is params and new_velocity is velocity
-        np.testing.assert_array_equal(velocity.buffer, momentum * v + g)
-        np.testing.assert_array_equal(params.buffer, p - lr * (momentum * v + g))
+        sgd_step(params, params.unflatten(g), velocity, lr, 0.0)
+        np.testing.assert_array_equal(velocity.buffer, m * v + g)
+        np.testing.assert_array_equal(params.buffer, p - lr * (m * v + g))
 
-    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.integers(1, 8),
-           st.data())
-    def test_blocked_step_equals_the_whole_buffer_step(self, params, lr, momentum, block,
-                                                       data):
+    @given(param_sets(), st.floats(1e-4, 1.0), st.floats(1e-3, 1e3), st.data())
+    def test_sgd_step_clips_then_updates(self, params, lr, clip_norm, data):
+        n = params.n_params
+        vectors = st.lists(finite, min_size=n, max_size=n)
+        g = np.array(data.draw(vectors))
+        stepped, grads = params.copy(), params.unflatten(g)
+        velocity = params.zeros_like()
+        sgd_step(stepped, grads, velocity, lr, clip_norm)
+        clipped = clip_gradients(params.unflatten(g), clip_norm)
+        assert grads.buffer.tobytes() == clipped.buffer.tobytes()
+        expected, expected_v = params.copy(), params.zeros_like()
+        sgd_step(expected, clipped, expected_v, lr, 0.0)
+        assert stepped.buffer.tobytes() == expected.buffer.tobytes()
+        assert velocity.buffer.tobytes() == expected_v.buffer.tobytes()
+
+    @given(param_sets(), st.floats(1e-4, 1.0), st.integers(1, 8), st.data())
+    def test_blocked_step_equals_the_whole_buffer_step(self, params, lr, block, data):
         n = params.n_params
         vectors = st.lists(finite, min_size=n, max_size=n)
         g, v = params.unflatten(data.draw(vectors)), np.array(data.draw(vectors))
         whole, blocked = params.copy(), params.copy()
         v_whole, v_blocked = params.unflatten(v), params.unflatten(v)
-        sgd_step(whole, g, lr, momentum, v_whole)  # one block: n < SGD_BLOCK
+        sgd_step(whole, g, v_whole, lr, 0.0)  # one block: n < SGD_BLOCK
         with mock.patch.object(nn, "SGD_BLOCK", block):
-            sgd_step(blocked, g, lr, momentum, v_blocked)
+            sgd_step(blocked, g, v_blocked, lr, 0.0)
         assert blocked.buffer.tobytes() == whole.buffer.tobytes()
         assert v_blocked.buffer.tobytes() == v_whole.buffer.tobytes()
 
-    @given(st.integers(1, 6), st.floats(0.0, 0.95))
-    def test_momentum_with_constant_gradient_has_closed_form(self, steps, momentum):
+    @given(st.integers(1, 6))
+    def test_momentum_with_constant_gradient_has_closed_form(self, steps):
+        momentum = nn.MOMENTUM
         params = ParamSet({"w": np.zeros((1, 1))})
         grads = ParamSet({"w": np.ones((1, 1))})
-        velocity = None
+        velocity = params.zeros_like()
         for _ in range(steps):
-            params, velocity = sgd_step(params, grads, 0.1, momentum, velocity)
+            sgd_step(params, grads, velocity, 0.1, 0.0)
         # v_k = (1 - m^k) / (1 - m);  p_k = -lr * sum_{j<=k} v_j
         v = [(1 - momentum**j) / (1 - momentum) for j in range(1, steps + 1)]
         assert velocity.buffer[0] == pytest.approx(v[-1], rel=1e-12)
