@@ -20,8 +20,8 @@ from .nn import (
     forward,
     init_layer,
     require_finite,
+    residual_squared_error,
     sgd_step,
-    squared_error,
     squared_error_grad,
 )
 
@@ -79,8 +79,15 @@ def decode(params, Z):
 
 
 def reconstruction_squared_error(params, X):
+    """`nn.squared_error` of the stack's reconstruction of X, bit for bit.
+    The residual is formed in the reconstruction `apply` returns, which
+    this function owns, so the pass holds X and one array of its size.
+    params holds at least one layer, as every autoencoder does: `apply`
+    of no layers would return a view of X itself."""
     X = np.asarray(X, dtype=float)
-    return squared_error(apply(params.layers(), X), X)
+    residual = apply(params.layers(), X)
+    residual -= X
+    return residual_squared_error(residual)
 
 
 def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_stream):
@@ -112,9 +119,10 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
     `_minibatch_sweep`, so a bad epoch can be rolled back. An epoch whose
     sweep meets a non-finite gradient (`sgd_step`'s RuntimeError), whose
     loss is not finite, or whose loss more than doubles the previous one is
-    rolled back, the rate halved, and the epoch retried once; if the retry
-    is still bad the epoch stays rolled back and the halved rate carries
-    forward. A learning rate driven to the floor signals divergence.
+    rolled back, the rate halved, and the epoch retried once. A retry that
+    is still bad halves the rate again and leaves the epoch rolled back, so
+    a quarter of the epoch's starting rate carries forward. A learning rate
+    driven below 1e-8 signals divergence.
     """
     velocity = params.zeros_like()
     shuffle = rng.stream("shuffle")
@@ -177,9 +185,11 @@ def finetune_global(X, params, epochs, lr, batch, rng):
     and the Rng that layer-wise pretraining used.
 
     Each logged loss is the full-data reconstruction error after the
-    epoch (entry 0 is the starting loss). A non-finite epoch, or one that
-    more than doubles the previous loss, is rolled back, the learning
-    rate halved, and the epoch retried once.
+    epoch (entry 0 is the starting loss), and each logged rate the one the
+    next epoch starts at. A non-finite epoch, or one that more than doubles
+    the previous loss, is rolled back, the learning rate halved, and the
+    epoch retried once; a retry that fails too halves the rate again and
+    stays rolled back, so the next epoch starts at a quarter of the rate.
     """
     params, history = _run_epochs(params, np.asarray(X, dtype=float), epochs, lr, batch,
                                   rng, 0.0, "global fine-tuning diverged at epoch {epoch}")

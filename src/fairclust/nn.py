@@ -12,7 +12,11 @@ the layer gradients into the views its caller passes. `sgd_step` is the
 one training step of both loops: it clips the gradients to a global norm
 and then applies momentum `MOMENTUM`, block by block, in place. So a
 training loop allocates its gradient and velocity sets once and copies a
-set before training it when the original must survive.
+set before training it when the original must survive. The clip takes one
+flat dot of the gradient buffer to tell whether a step can clip at all;
+only a step that may clip sums the norm in the entry order that fixes its
+float64 result. `squared_error` squares its residual in place, and
+`residual_squared_error` lets a caller hand over a residual it owns.
 
 Checkpoints are JSON. Format version 2 stores each float array as a
 `pack_array` record: base64 of its little-endian float64 bytes with its
@@ -480,11 +484,25 @@ def _squared_norm(entry):
 def clip_gradients(grads, max_norm):
     """Scale grads in place so the global gradient norm is at most max_norm;
     returns grads. Bounds the step size when a batch or a loss term spikes;
-    0 disables clipping. The squared norm is summed entry by entry, in entry
-    order: that order is part of the float64 result, and one flat reduction
-    over the buffer rounds differently, which training amplifies.
+    0 disables clipping.
+
+    One flat dot of the buffer decides whether the step can clip: when it
+    is below max_norm² less a margin, the exact norm is below max_norm too
+    and grads is returned untouched. Every other step, one that may clip,
+    overflows or holds a nan or inf, sums the squared norm entry by entry,
+    in entry order, and scales by it: that order is part of the float64
+    result, and one flat reduction over the buffer rounds differently,
+    which training amplifies.
     """
     if max_norm <= 0:
+        return grads
+    # Any float64 sum of n rounded squares lies within about n·2⁻⁵³
+    # (relative) of the exact sum, so a margin of 4·(n + 1)·2⁻⁵³ covers the
+    # dot, the entry-order sum and the rounding of the bound. A bound that
+    # is infinite, or so small that the underflow of tiny squares (up to
+    # 2⁻¹⁰⁷⁵ each) could decide, leaves every step to the exact sum.
+    limit = max_norm * max_norm * (1.0 - 4.0 * (grads.buffer.size + 1) * 2.0**-53)
+    if 2.0**-969 <= limit < math.inf and np.dot(grads.buffer, grads.buffer) < limit:
         return grads
     total = np.sqrt(sum(_squared_norm(g) for _, g in grads.items()))
     if np.isfinite(total) and total > max_norm:
@@ -499,7 +517,8 @@ def sgd_step(params, grads, velocity, lr, clip_norm):
 
     grads and velocity must share the layout of params; grads is scaled by
     the clip and velocity and params are updated. It runs SGD_BLOCK values
-    at a time, so lr*v is never parameter-sized. Raises on non-finite
+    at a time, so lr*v is never parameter-sized; a step that cannot clip
+    makes no parameter-sized array at all. Raises on non-finite
     gradients, the usual training divergence signal, before any value is
     written.
     """
@@ -556,7 +575,15 @@ def squared_error(pred, target):
     Summing over features keeps the gradient scale independent of the
     data width, so one learning rate works across feature counts.
     """
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
+    return residual_squared_error(pred - target)
+
+
+def residual_squared_error(residual):
+    """`squared_error` of the residual pred - target, which the caller owns
+    and gives up: it is squared in place, so the pass makes no array of
+    its size."""
+    np.square(residual, out=residual)
+    return float(np.mean(np.sum(residual, axis=1)))
 
 
 def squared_error_grad(pred, target):

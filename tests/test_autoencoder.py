@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from fairclust.autoencoder import (
     pretrain_layerwise,
     reconstruction_squared_error,
 )
-from fairclust.nn import AffineLayer, ParamSet, Rng
+from fairclust.nn import AffineLayer, ParamSet, Rng, apply, squared_error
 
 
 def toy_data(n=20, d=3, seed=0):
@@ -138,6 +139,10 @@ class TestFinetuneGlobal:
         tuned, log = finetune_global(X, params, epochs=10, lr=50.0, batch=20, rng=Rng(7))
         assert np.isfinite(log[-1]["loss"])
         assert log[-1]["lr"] < 50.0
+        # epoch 1 and its retry both fail: the rate is halved after each
+        # attempt, so epoch 2 starts at a quarter, and epoch 1 is rolled back
+        assert log[1]["lr"] == 12.5
+        assert log[1]["loss"] == log[0]["loss"]
 
     def test_an_error_that_is_not_divergence_propagates(self):
         X = toy_data(30, 3, seed=8)
@@ -152,7 +157,29 @@ class TestFinetuneGlobal:
                        batch=10, seed=2)
         params, log = pretrain(X, cfg)
         final = [e for e in log if e["stage"] == "global"][-1]["loss"]
-        assert reconstruction_squared_error(params, X) == pytest.approx(final)
+        assert reconstruction_squared_error(params, X) == final
+
+    @pytest.mark.parametrize("dims, n", [((1, 1), 1), ((3, 2), 7), ((5, 4, 2), 30),
+                                         ((12, 9, 6, 3), 101)])
+    def test_reconstruction_error_is_the_squared_error_of_apply(self, dims, n):
+        params = init_params(dims, Rng(n).stream("init"))
+        X = toy_data(n, dims[0], seed=n)
+        assert reconstruction_squared_error(params, X) == squared_error(
+            apply(params.layers(), X), X)
+
+    def test_reconstruction_error_holds_one_reconstruction(self):
+        # a 2000-wide reconstruction of 500 rows is 8 MB; the residual and
+        # its square are formed in it, so the pass holds about one of it
+        params = init_params((2000, 10), Rng(0).stream("init"))
+        X = toy_data(500, 2000, seed=1)
+        tracemalloc.start()
+        try:
+            loss = reconstruction_squared_error(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * X.nbytes
+        assert loss == squared_error(apply(params.layers(), X), X)
 
 
 class TestDropoutCorruption:

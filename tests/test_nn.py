@@ -285,14 +285,35 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="layout"):
             sgd_step(params, grads, params.zeros_like(), 0.1, 0.0)
 
-    def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch,
+                                                                 clip_norm, bad):
         monkeypatch.setattr(nn, "SGD_BLOCK", 2)
-        params = ParamSet({"w": np.ones((1, 5))})
+        params = ParamSet({"v": np.ones((1, 2)), "w": np.ones((1, 5))})
         grads, velocity = params.copy(), params.copy()
-        grads.buffer[-1] = np.inf
+        grads.buffer[-1] = bad
+        before = grads.buffer.tobytes()
         with pytest.raises(RuntimeError, match="non-finite gradient for entry 'w'"):
-            sgd_step(params, grads, velocity, 0.1, 5.0)
+            sgd_step(params, grads, velocity, 0.1, clip_norm)
         assert np.all(params.buffer == 1.0) and np.all(velocity.buffer == 1.0)
+        assert grads.buffer.tobytes() == before
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
+    def test_finite_gradient_whose_squares_overflow_is_neither_scaled_nor_refused(
+            self, clip_norm):
+        # 1e200 squared overflows, so the global norm is inf: no clip is
+        # taken and the step still runs. numpy warns of the overflow, which
+        # pretraining's epochs silence the same way.
+        params = ParamSet({"w": np.zeros((2, 3))})
+        grads, velocity = params.copy(), params.zeros_like()
+        grads.buffer[:] = [1e200, -1e200, 1.0, 0.0, 2.0, 1e-3]
+        g = grads.buffer.copy()
+        with np.errstate(over="ignore"):
+            sgd_step(params, grads, velocity, 0.1, clip_norm)
+        assert grads.buffer.tobytes() == g.tobytes()
+        assert velocity.buffer.tobytes() == g.tobytes()
+        np.testing.assert_array_equal(params.buffer, -(g * 0.1))
 
     def test_steps_allocate_no_parameter_sized_array(self, monkeypatch):
         from fairclust import autoencoder, model
@@ -312,6 +333,13 @@ class TestSgdStep:
         grads, velocity = params.copy(), params.zeros_like()
         grads.buffer[:] = 1.0
         assert step_peak(params, grads, velocity, 0.1, 0.0) < 1_000_000
+        np.testing.assert_array_equal(params.buffer, -0.1 * velocity.buffer)
+        # a step that cannot clip (global norm 1 at clip_norm 5) takes only
+        # the flat dot of the buffer, never a squared copy of it
+        grads.buffer[:] = 1e-3
+        params.buffer[:], velocity.buffer[:] = 0.0, 0.0
+        assert step_peak(params, grads, velocity, 0.1, 5.0) < 1_000_000
+        assert np.all(grads.buffer == 1e-3)
         np.testing.assert_array_equal(params.buffer, -0.1 * velocity.buffer)
 
         # in the training loops, from the end of one step to the end of the
@@ -575,6 +603,21 @@ def param_sets(draw):
     return ParamSet(entries)
 
 
+def entry_order_squared_norm(grads):
+    """The squared global norm summed entry by entry, in entry order."""
+    return sum(float(np.sum(g.weight**2) + np.sum(g.bias**2)) if isinstance(g, AffineLayer)
+               else float(np.sum(g**2)) for _, g in grads.items())
+
+
+def entry_order_clip(grads, max_norm):
+    """The clip as it reads without the flat dot: every step sums the
+    entry-order norm and scales by it when it exceeds max_norm."""
+    total = np.sqrt(entry_order_squared_norm(grads))
+    if np.isfinite(total) and total > max_norm:
+        grads.buffer *= max_norm / total
+    return grads
+
+
 def same_layers(a, b):
     return a.names() == b.names() and all(
         isinstance(x, AffineLayer) == isinstance(y, AffineLayer) and (
@@ -602,13 +645,37 @@ class TestProperties:
     @given(param_sets(), st.floats(1e-3, 1e3))
     def test_clipped_norm_is_at_most_max_norm(self, grads, max_norm):
         before = np.linalg.norm(grads.flatten())
+        expected = entry_order_clip(grads.copy(), max_norm)
         clipped = clip_gradients(grads, max_norm)
         assert clipped is grads
+        assert grads.buffer.tobytes() == expected.buffer.tobytes()
         after = np.linalg.norm(grads.flatten())
         # the rescaled norm may exceed max_norm by rounding only
         assert after <= max_norm * (1 + 1e-12)
         if before <= max_norm:
             assert after == before
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.integers(-4, 4))
+    def test_clip_near_max_norm_equals_the_entry_order_clip(self, seed, norm, ulps):
+        # a random set is scaled to the given global norm, then max_norm is
+        # put `ulps` ULPs from its entry-order norm: below it the step
+        # clips, on or above it the step does not; either way the buffer
+        # holds the bytes the entry-order clip leaves
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 60, size=rng.integers(2, 5))
+        grads = random_params(rng, dims=tuple(widths))
+        grads.buffer *= 10.0 ** rng.uniform(-3, 3, grads.n_params)
+        grads.buffer *= norm / np.sqrt(entry_order_squared_norm(grads))
+        exact = np.sqrt(entry_order_squared_norm(grads))
+        max_norm = exact
+        for _ in range(abs(ulps)):
+            max_norm = np.nextafter(max_norm, np.sign(ulps) * np.inf)
+        expected = entry_order_clip(grads.copy(), max_norm)
+        before = grads.buffer.tobytes()
+        clip_gradients(grads, max_norm)
+        assert grads.buffer.tobytes() == expected.buffer.tobytes()
+        assert (grads.buffer.tobytes() == before) == (exact <= max_norm)
 
     @given(param_sets(), st.floats(1e-4, 1.0), st.data())
     def test_sgd_step_is_the_momentum_update(self, params, lr, data):
