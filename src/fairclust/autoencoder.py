@@ -53,6 +53,8 @@ class AeConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.batch < 1:
             raise ValueError("batch must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         object.__setattr__(self, "dims", dims)
 
 

@@ -5,6 +5,12 @@ as flag > config file > default; config files are UTF-8 ``key = value``
 lines with ``#`` comments, keyed by the flag names with underscores. An
 option that sets a field of AeConfig, TrainConfig or SynthSpec has no
 default here: left unset, it keeps the class's own.
+Config objects are built once, from the option tables: the SynthSpec and
+one TrainConfig per seed (and sweep point) before any file is read, and
+the AeConfig, which needs the data width, once after the read. Invalid
+settings, a value listed twice in --seeds, --gamma-list or --k-list, and
+sweep values that would share a directory are usage errors, as is
+--dump-latent without --out.
 Artifacts land under --out with a manifest.json index. Exit codes:
 0 success, 1 usage error, 2 runtime failure.
 """
@@ -110,6 +116,14 @@ SYNTH_OPTS = {
     "seed": (int, None, "generator seed"),
 }
 
+# Options named unlike the config field they set, and the options of the
+# config tables that set no field directly (hidden and latent make
+# AeConfig.dims; seeds gives one TrainConfig.seed per run).
+FIELD_OF = {"k": "K", "ae_batch": "batch", "ae_seed": "seed", "n": "n_points",
+            "blobs": "n_blobs", "t": "T", "corr": "correlation", "spread": "blob_spread"}
+NOT_A_FIELD = ("hidden", "latent", "pretrain", "seeds")
+
+
 COMMAND_OPTS = {
     "synth": {**SYNTH_OPTS},
     "pretrain": {**DATA_OPTS, **AE_OPTS},
@@ -183,6 +197,7 @@ def resolve(args, command):
         raise CliError(f"missing required options: {missing}")
     if resolved.get("seeds") == []:
         raise CliError("--seeds must list at least one seed")
+    _refuse_shared_dirs("--seeds", resolved.get("seeds", []), "seed_{}".format)
     return resolved
 
 
@@ -197,18 +212,38 @@ def _thread_count():
     return count
 
 
-def _validated(factory, **kwargs):
-    """Build a config object from the keywords whose value is not None, so
-    an option left unset keeps the class's default; invalid values are
-    usage errors."""
+def _config(factory, table, opts, **fixed):
+    """Build a config object from the options of table that are set, each
+    passed to the field it sets, plus the fixed fields. An option left
+    unset keeps the class's default; invalid values are usage errors."""
+    fields = {FIELD_OF.get(dest, dest): opts[dest] for dest in table
+              if dest not in NOT_A_FIELD and opts[dest] is not None}
     try:
-        return factory(**{k: v for k, v in kwargs.items() if v is not None})
+        return factory(**fields, **fixed)
     except ValueError as exc:
         raise CliError(str(exc))
 
 
+def _refuse_shared_dirs(flag, values, name):
+    """Each value writes the directory name(value); two values that would
+    write one directory are a usage error."""
+    owner = {}
+    for value in values:
+        path = name(value)
+        if path in owner:
+            raise CliError(f"{flag} lists {value!r} twice" if owner[path] == value else
+                           f"{flag}: {owner[path]!r} and {value!r} would both write {path}")
+        owner[path] = value
+
+
 def _json_dump(payload, path):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_jsonl(entries, path):
+    with path.open("w", encoding="utf-8") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 def _write_manifest(out, command, artifacts):
@@ -238,10 +273,7 @@ def _load_dataset(opts):
 
 
 def cmd_synth(opts):
-    spec = _validated(data.SynthSpec, n_points=opts["n"], dims=opts["dims"],
-                      n_blobs=opts["blobs"], T=opts["t"], correlation=opts["corr"],
-                      blob_spread=opts["spread"], seed=opts["seed"])
-    ds = data.synth_blobs(spec)
+    ds = data.synth_blobs(_config(data.SynthSpec, SYNTH_OPTS, opts))
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "data.csv"
@@ -253,18 +285,12 @@ def cmd_synth(opts):
 
 def _pretrain_ae(ds, opts, out):
     dims = tuple([ds.d] + list(opts["hidden"]) + [opts["latent"]])
-    cfg = _validated(autoencoder.AeConfig, dims=dims,
-                     layerwise_epochs=opts["layerwise_epochs"],
-                     global_epochs=opts["global_epochs"],
-                     lr_pretrain=opts["lr_pretrain"], dropout=opts["dropout"],
-                     batch=opts["ae_batch"], seed=opts["ae_seed"])
+    cfg = _config(autoencoder.AeConfig, AE_OPTS, opts, dims=dims)
     params, log = autoencoder.pretrain(ds.features, cfg)
     ckpt = out / "ae.json"
     save_params(params, ckpt)
     log_path = out / "pretrain_log.jsonl"
-    with log_path.open("w", encoding="utf-8") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write_jsonl(log, log_path)
     return params, [ckpt.name, log_path.name]
 
 
@@ -278,25 +304,17 @@ def cmd_pretrain(opts):
     return 0
 
 
-def _train_config(opts, seed):
-    return _validated(model.TrainConfig, K=opts["k"], gamma=opts["gamma"],
-                      beta=opts["beta"], epsilon=opts["epsilon"], dof=opts["dof"],
-                      lr=opts["lr"], batch=opts["batch"],
-                      max_epochs=opts["max_epochs"],
-                      convergence_tol=opts["convergence_tol"],
-                      recon_weight=opts["recon_weight"],
-                      clip_norm=opts["clip_norm"], refresh=opts["refresh"],
-                      refresh_interval=opts["refresh_interval"], seed=seed)
+def _seed_configs(opts):
+    """One TrainConfig per seed of --seeds."""
+    return [_config(model.TrainConfig, TRAIN_OPTS, opts, seed=s) for s in opts["seeds"]]
 
 
-def _run_one_seed(ds, ae_params, opts, seed, out):
-    seed_dir = out / f"seed_{seed}"
+def _run_one_seed(ds, ae_params, cfg, out):
+    seed_dir = out / f"seed_{cfg.seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    trained = model.train(ds, ae_params, _train_config(opts, seed))
+    trained = model.train(ds, ae_params, cfg)
     model.save_model(trained, seed_dir / "model.json")
-    with (seed_dir / "history.jsonl").open("w", encoding="utf-8") as fh:
-        for entry in trained.history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write_jsonl(trained.history, seed_dir / "history.jsonl")
     rep = metrics.report(trained, ds)
     (seed_dir / "report.json").write_text(rep.to_json())
     return rep
@@ -324,15 +342,15 @@ def _aggregate(reports_by_seed, failures):
     return agg
 
 
-def _run_seeds(ds, ae_params, opts, seeds, out, threads):
+def _run_seeds(ds, ae_params, configs, out, threads):
     out.mkdir(parents=True, exist_ok=True)
     reports, failures = {}, {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {seed: pool.submit(_run_one_seed, ds, ae_params, opts, seed, out)
-                   for seed in seeds}
-    for seed in seeds:
+        futures = {cfg.seed: pool.submit(_run_one_seed, ds, ae_params, cfg, out)
+                   for cfg in configs}
+    for seed, future in futures.items():
         try:
-            reports[seed] = futures[seed].result()
+            reports[seed] = future.result()
         except Exception as exc:  # per-seed failure; the summary records it
             failures[seed] = exc
     agg = _aggregate(reports, failures)
@@ -356,13 +374,13 @@ def _resolve_ae(ds, opts, out):
 
 
 def cmd_train(opts):
-    _train_config(opts, opts["seeds"][0])  # surface bad values before any work
+    configs = _seed_configs(opts)
     threads = _thread_count()
     ds = _load_dataset(opts)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     ae_params, artifacts = _resolve_ae(ds, opts, out)
-    agg = _run_seeds(ds, ae_params, opts, opts["seeds"], out, threads)
+    agg = _run_seeds(ds, ae_params, configs, out, threads)
     artifacts += ["aggregate.json"] + [f"seed_{s}" for s in opts["seeds"]]
     _write_manifest(out, "train", artifacts)
     print(json.dumps(agg["metrics"], sort_keys=True, indent=2))
@@ -375,6 +393,8 @@ def cmd_train(opts):
 
 
 def cmd_eval(opts):
+    if opts["dump_latent"] and not opts["out"]:
+        raise CliError("--dump-latent needs --out")
     trained = model.load_model(opts["model"])
     ds = _load_dataset(opts)
     if trained.fairoids.shape[0] != ds.T:
@@ -415,8 +435,9 @@ def cmd_sweep(opts):
         raise CliError("--latent is required for a K sweep with inline pretraining")
     if axis == "gamma" and opts["k"] is None:
         raise CliError("--k is required for a gamma sweep")
-    for value in values:  # surface bad values of any point before any work
-        _train_config({**opts, axis: value}, opts["seeds"][0])
+    point_dir = "gamma_{:g}".format if axis == "gamma" else "k_{}".format
+    _refuse_shared_dirs(f"--{axis}-list", values, point_dir)
+    points = [(value, _seed_configs({**opts, axis: value})) for value in values]
     threads = _thread_count()
 
     ds = _load_dataset(opts)
@@ -426,12 +447,9 @@ def cmd_sweep(opts):
     ae_params, artifacts = _resolve_ae(ds, {**opts, "latent": opts["latent"] or opts["k"]}, out)
 
     rows = []
-    for value in values:
-        point = dict(opts)
-        point[axis] = value
-        point_dir = out / f"{axis}_{value:g}" if axis == "gamma" else out / f"k_{value}"
+    for value, configs in points:
         try:
-            agg = _run_seeds(ds, ae_params, point, opts["seeds"], point_dir, threads)
+            agg = _run_seeds(ds, ae_params, configs, out / point_dir(value), threads)
         except Exception as exc:
             rows.append({"value": value, "error": str(exc)})
             continue
@@ -442,7 +460,7 @@ def cmd_sweep(opts):
         if agg["failures"]:
             row["error"] = f"{len(agg['failures'])} seed(s) failed"
         rows.append(row)
-        artifacts.append(point_dir.name)
+        artifacts.append(point_dir(value))
 
     table_path = out / "sweep.csv"
     with table_path.open("w", newline="", encoding="utf-8") as fh:

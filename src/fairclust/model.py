@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError("refresh must be 'incore' or 'streaming'")
         if self.refresh_interval < 0:
             raise ValueError("refresh_interval must be >= 0 (0 freezes the initial targets)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _t_kernel(d2, dof):

@@ -46,6 +46,8 @@ class TestConfig:
             AeConfig(dims=(4, 2), lr_pretrain=0.0)
         with pytest.raises(ValueError, match=r"^dropout must lie in \[0, 1\)$"):
             AeConfig(dims=(4, 2), dropout=-0.5)
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            AeConfig(dims=(4, 2), seed=-1)
 
     def test_dims_must_match_data(self):
         cfg = AeConfig(dims=(5, 2), layerwise_epochs=1, global_epochs=0, batch=8)

@@ -3,13 +3,14 @@ import io
 import json
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from fairclust import autoencoder, clustering, data, model
 from fairclust.autoencoder import AeConfig
-from fairclust.cli import main, parse_config_file
+from fairclust.cli import (AE_OPTS, FIELD_OF, SYNTH_OPTS, TRAIN_OPTS, _config, _write_jsonl,
+                           build_parser, main, parse_config_file, resolve)
 from fairclust.data import SynthSpec, save_csv, synth_blobs
 from fairclust.model import TrainConfig
 from fairclust.nn import Rng
@@ -78,11 +79,16 @@ class TestSynth:
 
 
 class TestPretrain:
-    def test_non_finite_setting_is_usage_error(self, synth_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("setting, message", [
+        ("--lr-pretrain=nan", "lr_pretrain must be finite, got nan"),
+        ("--ae-seed=-2", "seed must be non-negative"),
+    ])
+    def test_invalid_setting_is_usage_error(self, synth_dir, tmp_path, capsys, setting,
+                                            message):
         code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--hidden", "8",
-                       "--latent", 2, "--lr-pretrain", "nan", "--out", tmp_path)
+                       "--latent", 2, setting, "--out", tmp_path)
         assert code == 1
-        assert capsys.readouterr().err == "usage error: lr_pretrain must be finite, got nan\n"
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "ae.json").exists()
 
     def test_checkpoint_and_log(self, synth_dir, tmp_path):
@@ -126,6 +132,26 @@ class TestTrain:
                        flag, value, "--out", tmp_path / "t")
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {field} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("train", "--k", 2, "--seeds=-1"), "seed must be non-negative"),
+        (("train", "--k", 2, "--seeds", "1,1"), "--seeds lists 1 twice"),
+        (("sweep", "--k", 2, "--gamma-list", "0,1", "--seeds", "3,2,3"),
+         "--seeds lists 3 twice"),
+        (("sweep", "--k", 2, "--gamma-list", "0.1,0.1000001,0.1"),
+         "--gamma-list: 0.1 and 0.1000001 would both write gamma_0.1"),
+        (("sweep", "--k", 2, "--gamma-list", "1,1e0"), "--gamma-list lists 1.0 twice"),
+        (("sweep", "--k-list", "2,3,2"), "--k-list lists 2 twice"),
+    ])
+    def test_seed_and_point_lists_refused_before_any_read(self, tmp_path, monkeypatch,
+                                                          capsys, argv, message):
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
+        code = run_cli(*argv, "--data", tmp_path / "data.csv", "--latent", 2,
+                       "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, axis", [("train", ()), ("sweep", ("--gamma-list", "0,1"))])
     def test_empty_seed_list_is_usage_error(self, synth_dir, tmp_path, capsys, command, axis):
@@ -285,14 +311,19 @@ class TestEval:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_bad_normalize_rejected_before_any_read(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--normalize", "bogus", "unknown normalization mode 'bogus'"),
+        ("--dump-latent", "true", "--dump-latent needs --out"),
+    ])
+    def test_usage_error_before_any_read(self, tmp_path, monkeypatch, capsys, flag, value,
+                                         message):
         monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
         monkeypatch.setattr(model, "load_model", no_reads)
         code = run_cli("eval", "--model", tmp_path / "model.json",
-                       "--data", tmp_path / "data.csv", "--normalize", "bogus")
+                       "--data", tmp_path / "data.csv", flag, value)
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "'bogus'" in err
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_state_count_mismatch_names_both(self, trained_dir, tmp_path, capsys):
         other = tmp_path / "other"
@@ -574,3 +605,48 @@ class TestEnvironment:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert (tmp_path / "data.csv").exists()
+
+
+def other_value(value):
+    """A valid setting of a config field that differs from value."""
+    if isinstance(value, str):
+        return "streaming" if value == "incore" else "incore"
+    if isinstance(value, int):
+        return value + 1
+    return value / 2 if value else 0.5
+
+
+class TestConfigBuilder:
+    @pytest.mark.parametrize("command, required, table, factory, fixed", [
+        ("pretrain", ("--data", "d.csv", "--latent", "2"), AE_OPTS, AeConfig, {"dims": (4, 2)}),
+        ("train", ("--data", "d.csv", "--k", "2"), TRAIN_OPTS, TrainConfig, {"seed": 0}),
+        ("synth", (), SYNTH_OPTS, SynthSpec, {}),
+    ])
+    def test_every_option_sets_the_field_it_names(self, command, required, table, factory,
+                                                  fixed):
+        # a misspelt FIELD_OF entry would leave its option without effect
+        parser = build_parser()
+
+        def built(*flags):
+            args = parser.parse_args([command, *required, "--out", "o", *flags])
+            return _config(factory, table, resolve(args, command), **fixed)
+
+        options = [d for d in table if d not in ("hidden", "latent", "pretrain", "seeds")]
+        assert sorted([FIELD_OF.get(d, d) for d in options] + list(fixed)) \
+            == sorted(f.name for f in fields(factory))
+        baseline = built()
+        for dest in options:
+            name = FIELD_OF.get(dest, dest)
+            value = other_value(getattr(baseline, name))
+            cfg = built("--" + dest.replace("_", "-"), str(value))
+            assert getattr(cfg, name) == value != getattr(baseline, name), dest
+            assert asdict(cfg) == {**asdict(baseline), name: value}, dest
+
+    def test_one_jsonl_writer_for_logs_and_histories(self, trained_dir, tmp_path):
+        _write_jsonl([{"b": 1, "a": [0.1, None]}, {}], tmp_path / "x.jsonl")
+        assert (tmp_path / "x.jsonl").read_bytes() == b'{"a": [0.1, null], "b": 1}\n{}\n'
+        for path in (trained_dir / "pretrain_log.jsonl", trained_dir / "seed_1" / "history.jsonl"):
+            entries = [json.loads(line) for line in path.read_text().splitlines()]
+            assert entries
+            _write_jsonl(entries, tmp_path / "again.jsonl")
+            assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()

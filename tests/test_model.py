@@ -50,6 +50,7 @@ class TestTrainConfig:
         ("convergence_tol", -1.0, "convergence_tol must be non-negative"),
         ("recon_weight", -1.0, "recon_weight must be non-negative"),
         ("clip_norm", -1.0, "clip_norm must be non-negative (0 disables clipping)"),
+        ("seed", -1, "seed must be non-negative"),
     ])
     def test_out_of_range_messages(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
