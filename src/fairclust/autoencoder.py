@@ -25,8 +25,6 @@ from .nn import (
     squared_error_grad,
 )
 
-CLIP_NORM = 5.0
-
 
 @dataclass(frozen=True)
 class AeConfig:
@@ -109,7 +107,7 @@ def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_strea
             xin = xb * ((noise_stream.random(xb.shape) >= dropout) / (1.0 - dropout))
         out, tape = forward(layers, xin)
         backward(tape, squared_error_grad(out, xb), grad_layers)
-        sgd_step(params, grads, velocity, lr, CLIP_NORM)
+        sgd_step(params, grads, velocity, lr)
 
 
 def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):

@@ -7,10 +7,12 @@ option that sets a field of AeConfig, TrainConfig or SynthSpec has no
 default here: left unset, it keeps the class's own.
 Config objects are built once, from the option tables: the SynthSpec and
 one TrainConfig per seed (and sweep point) before any file is read, and
-the AeConfig, which needs the data width, once after the read. Invalid
-settings, a value listed twice in --seeds, --gamma-list or --k-list, and
-sweep values that would share a directory are usage errors, as is
---dump-latent without --out.
+the AeConfig, which needs the data width, once after the read; --out is
+made only once it and any --pretrain checkpoint are checked. Invalid
+settings, a --config file that cannot be read, an empty list or a value
+listed twice in --seeds, --gamma-list or --k-list, and sweep values that
+would share a directory are usage errors, as is --dump-latent without
+--out.
 Artifacts land under --out with a manifest.json index. Exit codes:
 0 success, 1 usage error, 2 runtime failure.
 """
@@ -100,7 +102,6 @@ TRAIN_OPTS = {
     "max_epochs": (int, None, "epoch cap"),
     "convergence_tol": (float, None, "stop when fewer assignments change"),
     "recon_weight": (float, None, "reconstruction term weight"),
-    "clip_norm": (float, None, "global gradient norm cap (0 disables)"),
     "refresh": (str, None, "fairness-target centroids: incore (live) or streaming (estimated)"),
     "refresh_interval": (int, None, "epochs between target refreshes (0 freezes)"),
     "seeds": (_int_list, [0], "training seeds"),
@@ -162,7 +163,12 @@ def build_parser():
 
 def parse_config_file(path):
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -283,10 +289,17 @@ def cmd_synth(opts):
     return 0
 
 
-def _pretrain_ae(ds, opts, out):
+def _ae_config(ds, opts):
     dims = tuple([ds.d] + list(opts["hidden"]) + [opts["latent"]])
-    cfg = _config(autoencoder.AeConfig, AE_OPTS, opts, dims=dims)
-    params, log = autoencoder.pretrain(ds.features, cfg)
+    return _config(autoencoder.AeConfig, AE_OPTS, opts, dims=dims)
+
+
+def _autoencoder(ds, ae, out):
+    """(params, artifacts) of ae: a loaded ParamSet as it is, or an
+    AeConfig pretrained here, its checkpoint and log written under out."""
+    if not isinstance(ae, autoencoder.AeConfig):
+        return ae, []
+    params, log = autoencoder.pretrain(ds.features, ae)
     ckpt = out / "ae.json"
     save_params(params, ckpt)
     log_path = out / "pretrain_log.jsonl"
@@ -296,9 +309,10 @@ def _pretrain_ae(ds, opts, out):
 
 def cmd_pretrain(opts):
     ds = _load_dataset(opts)
+    cfg = _ae_config(ds, opts)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _, artifacts = _pretrain_ae(ds, opts, out)
+    _, artifacts = _autoencoder(ds, cfg, out)
     _write_manifest(out, "pretrain", artifacts)
     print(f"wrote {out / 'ae.json'}")
     return 0
@@ -358,28 +372,31 @@ def _run_seeds(ds, ae_params, configs, out, threads):
     return agg
 
 
-def _resolve_ae(ds, opts, out):
+def _checked_ae(ds, opts):
+    """The autoencoder of train and sweep, checked against the data before
+    --out is made: the AeConfig of inline pretraining, or the ParamSet of
+    the --pretrain checkpoint."""
     if opts["pretrain"] == "inline":
         if opts["latent"] is None:
             raise CliError("--latent is required for inline pretraining")
-        params, artifacts = _pretrain_ae(ds, opts, out)
-        return params, artifacts
+        return _ae_config(ds, opts)
     params = load_params(opts["pretrain"])
     encoder = params.layers("enc")
     if not encoder:
         raise ValueError(f"{opts['pretrain']}: no encoder layers")
     if encoder[0].n_in != ds.d:
         raise ValueError(f"checkpoint expects {encoder[0].n_in} features, dataset has {ds.d}")
-    return params, []
+    return params
 
 
 def cmd_train(opts):
     configs = _seed_configs(opts)
     threads = _thread_count()
     ds = _load_dataset(opts)
+    ae = _checked_ae(ds, opts)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    ae_params, artifacts = _resolve_ae(ds, opts, out)
+    ae_params, artifacts = _autoencoder(ds, ae, out)
     agg = _run_seeds(ds, ae_params, configs, out, threads)
     artifacts += ["aggregate.json"] + [f"seed_{s}" for s in opts["seeds"]]
     _write_manifest(out, "train", artifacts)
@@ -431,6 +448,8 @@ def cmd_sweep(opts):
         raise CliError("pass exactly one of --gamma-list or --k-list")
     axis = "gamma" if opts["gamma_list"] is not None else "k"
     values = opts["gamma_list"] if axis == "gamma" else opts["k_list"]
+    if not values:
+        raise CliError(f"--{axis}-list must list at least one value")
     if axis == "k" and opts["pretrain"] == "inline" and opts["latent"] is None:
         raise CliError("--latent is required for a K sweep with inline pretraining")
     if axis == "gamma" and opts["k"] is None:
@@ -441,10 +460,11 @@ def cmd_sweep(opts):
     threads = _thread_count()
 
     ds = _load_dataset(opts)
+    # One shared pretraining per dataset isolates the swept axis.
+    ae = _checked_ae(ds, {**opts, "latent": opts["latent"] or opts["k"]})
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    # One shared pretraining per dataset isolates the swept axis.
-    ae_params, artifacts = _resolve_ae(ds, {**opts, "latent": opts["latent"] or opts["k"]}, out)
+    ae_params, artifacts = _autoencoder(ds, ae, out)
 
     rows = []
     for value, configs in points:

@@ -66,7 +66,6 @@ class TrainConfig:
     max_epochs: int = 100
     convergence_tol: float = 0.001
     recon_weight: float = 0.0
-    clip_norm: float = 5.0
     refresh: str = "incore"
     refresh_interval: int = 1
     seed: int = 0
@@ -91,8 +90,6 @@ class TrainConfig:
             raise ValueError("convergence_tol must be non-negative")
         if self.recon_weight < 0:
             raise ValueError("recon_weight must be non-negative")
-        if self.clip_norm < 0:
-            raise ValueError("clip_norm must be non-negative (0 disables clipping)")
         if self.refresh not in ("incore", "streaming"):
             raise ValueError("refresh must be 'incore' or 'streaming'")
         if self.refresh_interval < 0:
@@ -348,7 +345,7 @@ def train(ds, ae_params, cfg):
                                              fairoids, cfg)
                 if not np.isfinite(components["loss"]):
                     raise FloatingPointError("non-finite loss")
-                sgd_step(params, grads, velocity, cfg.lr, cfg.clip_norm)
+                sgd_step(params, grads, velocity, cfg.lr)
             except (ValueError, RuntimeError, FloatingPointError) as exc:
                 raise RuntimeError(f"training failed at epoch {epoch}, batch {batches} "
                                    f"(last finite mean loss {last_mean}): {exc}") from exc
@@ -397,13 +394,17 @@ def save_model(model, path):
 # stored them as nested JSON number lists.
 _MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_array}
 
+# Fields that stored configs may hold but TrainConfig no longer has; a load
+# drops them whatever their value. clip_norm is now nn.CLIP_NORM.
+RETIRED_CONFIG_FIELDS = ("clip_norm",)
+
 
 def load_model(path):
-    """Read a version 1 or version 2 model checkpoint. A missing field, a
-    network that does not load, a config that makes no TrainConfig, or
-    centroids (K rows) or fairoids that are not finite 2-d arrays as wide
-    as the last encoder layer's output, is a ValueError naming the path and
-    the field."""
+    """Read a version 1 or version 2 model checkpoint; the config's retired
+    fields are dropped. A missing field, a network that does not load, a
+    config that makes no TrainConfig, or centroids (K rows) or fairoids that
+    are not finite 2-d arrays as wide as the last encoder layer's output, is
+    a ValueError naming the path and the field."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a fairclust model checkpoint")
@@ -413,7 +414,8 @@ def load_model(path):
     require_fields(payload, ("config", "network", "centroids", "fairoids", "history"),
                    f"{path}: ")
     try:
-        config = TrainConfig(**payload["config"])
+        config = TrainConfig(**{name: value for name, value in {**payload["config"]}.items()
+                                if name not in RETIRED_CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: config: {exc}") from None
     try:

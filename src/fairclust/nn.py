@@ -9,8 +9,8 @@ output. `forward` keeps a tape of layer inputs and outputs for `backward`;
 `apply`, for inference, keeps none and runs in row chunks; neither
 corrupts its input, as dropout belongs to pretraining. `backward` writes
 the layer gradients into the views its caller passes. `sgd_step` is the
-one training step of both loops: it clips the gradients to a global norm
-and then applies momentum `MOMENTUM`, block by block, in place. So a
+one training step of both loops: it clips the gradients to the global
+norm `CLIP_NORM`, then momentum `MOMENTUM`, block by block, in place. So a
 training loop allocates its gradient and velocity sets once and copies a
 set before training it when the original must survive. The clip takes one
 flat dot of the gradient buffer to tell whether a step can clip at all;
@@ -42,8 +42,9 @@ PARAMS_FORMAT = "fairclust-params"
 PARAMS_VERSION = 2
 ARRAY_DTYPE = "<f8"
 
-# Momentum of `sgd_step`, the step of pretraining and joint training alike.
+# Momentum and global gradient-norm bound of `sgd_step`, in both training loops.
 MOMENTUM = 0.9
+CLIP_NORM = 5.0
 
 # Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
 # 66 MB whatever the row count.
@@ -481,38 +482,35 @@ def _squared_norm(entry):
     return float(np.sum(entry**2))
 
 
-def clip_gradients(grads, max_norm):
-    """Scale grads in place so the global gradient norm is at most max_norm;
-    returns grads. Bounds the step size when a batch or a loss term spikes;
-    0 disables clipping.
+def clip_gradients(grads):
+    """Scale grads in place so the global gradient norm is at most
+    CLIP_NORM; returns grads. A fixed-threshold norm clip (Pascanu et al.,
+    2013) that bounds the step when a batch or a loss term spikes; it is a
+    guard of the optimizer, not part of the objective.
 
     One flat dot of the buffer decides whether the step can clip: when it
-    is below max_norm² less a margin, the exact norm is below max_norm too
-    and grads is returned untouched. Every other step, one that may clip,
-    overflows or holds a nan or inf, sums the squared norm entry by entry,
-    in entry order, and scales by it: that order is part of the float64
-    result, and one flat reduction over the buffer rounds differently,
-    which training amplifies.
+    is below CLIP_NORM² less a margin, the exact norm is below CLIP_NORM
+    too and grads is returned untouched. Every other step, one that may
+    clip, overflows or holds a nan or inf, sums the squared norm entry by
+    entry, in entry order, and scales by it: that order is part of the
+    float64 result, and one flat reduction over the buffer rounds
+    differently, which training amplifies.
     """
-    if max_norm <= 0:
-        return grads
     # Any float64 sum of n rounded squares lies within about n·2⁻⁵³
     # (relative) of the exact sum, so a margin of 4·(n + 1)·2⁻⁵³ covers the
-    # dot, the entry-order sum and the rounding of the bound. A bound that
-    # is infinite, or so small that the underflow of tiny squares (up to
-    # 2⁻¹⁰⁷⁵ each) could decide, leaves every step to the exact sum.
-    limit = max_norm * max_norm * (1.0 - 4.0 * (grads.buffer.size + 1) * 2.0**-53)
-    if 2.0**-969 <= limit < math.inf and np.dot(grads.buffer, grads.buffer) < limit:
+    # dot, the entry-order sum and the rounding of the bound.
+    limit = CLIP_NORM * CLIP_NORM * (1.0 - 4.0 * (grads.buffer.size + 1) * 2.0**-53)
+    if np.dot(grads.buffer, grads.buffer) < limit:
         return grads
     total = np.sqrt(sum(_squared_norm(g) for _, g in grads.items()))
-    if np.isfinite(total) and total > max_norm:
-        grads.buffer *= max_norm / total
+    if np.isfinite(total) and total > CLIP_NORM:
+        grads.buffer *= CLIP_NORM / total
     return grads
 
 
-def sgd_step(params, grads, velocity, lr, clip_norm):
+def sgd_step(params, grads, velocity, lr):
     """The training step of both loops, in place: clip grads to the global
-    norm clip_norm (0 disables clipping), then the classic momentum update
+    norm CLIP_NORM, then the classic momentum update
     v <- MOMENTUM*v + g; p <- p - lr*v.
 
     grads and velocity must share the layout of params; grads is scaled by
@@ -526,7 +524,7 @@ def sgd_step(params, grads, velocity, lr, clip_norm):
         raise ValueError("learning rate must be positive")
     if grads._layout is not params._layout and grads._layout != params._layout:
         raise ValueError("gradient layout does not match the parameters")
-    g = clip_gradients(grads, clip_norm).buffer
+    g = clip_gradients(grads).buffer
     blocks = [slice(start, start + SGD_BLOCK) for start in range(0, g.size, SGD_BLOCK)]
     if not all(np.isfinite(g[b]).all() for b in blocks):
         first = int(np.argmin(np.isfinite(g)))

@@ -87,6 +87,28 @@ class TestVersion1Files:
         assert trained.params.names() == load_params(V1 / "ae.json").names()
 
 
+class TestRetiredConfigFields:
+    @pytest.mark.parametrize("value", [5.0, 0.0, "any value"])
+    def test_stored_clip_norm_is_dropped(self, tmp_path, value):
+        # every checkpoint written while clip_norm was a training setting
+        # records it (the version 1 fixture too); a load drops it
+        model.save_model(model.load_model(V1 / "model.json"), tmp_path / "model.json")
+        saved = json.loads((tmp_path / "model.json").read_text())
+        assert "clip_norm" not in saved["config"]
+        saved["config"]["clip_norm"] = value
+        (tmp_path / "old.json").write_text(json.dumps(saved, sort_keys=True))
+        new, old = (model.load_model(tmp_path / name) for name in ("model.json", "old.json"))
+        assert bit_equal(old.params.buffer, new.params.buffer)
+        assert bit_equal(old.centroids, new.centroids)
+        assert bit_equal(old.fairoids, new.fairoids)
+        assert old.config == new.config and old.history == new.history
+        for name in ("model", "old"):
+            assert cli.main(["eval", "--model", str(tmp_path / f"{name}.json"), "--data",
+                             str(V1 / "data.csv"), "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "old" / "report.json").read_bytes()
+                == (tmp_path / "model" / "report.json").read_bytes())
+
+
 def packed_json(array):
     return json.loads(json.dumps(pack_array(array)))
 

@@ -82,14 +82,15 @@ class TestPretrain:
     @pytest.mark.parametrize("setting, message", [
         ("--lr-pretrain=nan", "lr_pretrain must be finite, got nan"),
         ("--ae-seed=-2", "seed must be non-negative"),
+        ("--dropout=1.5", "dropout must lie in [0, 1)"),
     ])
     def test_invalid_setting_is_usage_error(self, synth_dir, tmp_path, capsys, setting,
                                             message):
         code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--hidden", "8",
-                       "--latent", 2, setting, "--out", tmp_path)
+                       "--latent", 2, setting, "--out", tmp_path / "o")
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
-        assert not (tmp_path / "ae.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_checkpoint_and_log(self, synth_dir, tmp_path):
         code = run_cli("pretrain", "--data", synth_dir / "data.csv",
@@ -120,8 +121,7 @@ class TestPretrain:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("flag, field", [("--clip-norm", "clip_norm"),
-                                             ("--convergence-tol", "convergence_tol"),
+    @pytest.mark.parametrize("flag, field", [("--convergence-tol", "convergence_tol"),
                                              ("--lr", "lr"), ("--gamma", "gamma")])
     def test_non_finite_setting_refused_before_any_read(self, tmp_path, monkeypatch,
                                                         capsys, flag, field):
@@ -412,6 +412,17 @@ class TestSweep:
         code = run_cli("sweep", "--data", synth_dir / "data.csv", "--out", tmp_path)
         assert code == 1
 
+    @pytest.mark.parametrize("axis", [("--gamma-list", ",", "--k", 2), ("--k-list", ",")])
+    def test_empty_value_list_refused_before_any_read(self, tmp_path, monkeypatch, capsys,
+                                                      axis):
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
+        code = run_cli("sweep", "--data", tmp_path / "data.csv", "--latent", 2, *axis,
+                       "--out", tmp_path / "w")
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {axis[0]} must list at least one value\n"
+        assert not (tmp_path / "w").exists()
+
 
 class TestClassDefaults:
     """An option left unset keeps the default of the config class it sets."""
@@ -496,12 +507,26 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"usage error: {cfg}: k: invalid value 'abc'\n"
         assert not (tmp_path / "o").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    # clip_norm is no setting: the norm is the constant nn.CLIP_NORM
+    @pytest.mark.parametrize("command, key", [("synth", "frobnicate"), ("train", "clip_norm")])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("frobnicate = 1\n")
-        code = run_cli("synth", "--config", cfg, "--out", tmp_path / "o")
+        cfg.write_text(f"{key} = 1\n")
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "o")
         assert code == 1
-        assert "frobnicate" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"usage error: unknown config keys: ['{key}']\n"
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        (b"n = 5\n\xff\n", "not UTF-8: invalid start byte at byte 6"),
+    ])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, content, reason):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"usage error: {cfg}: {reason}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_precedence_mechanism_for_every_field(self, tmp_path):
         # for each command and each option: a config-file value overrides
@@ -573,6 +598,28 @@ class TestOutOfSample:
         payload = json.loads(capsys.readouterr().out)
         assert payload["acc"] >= 0.95
         assert payload["t"] == 2
+
+
+class TestNoOutputOnRefusal:
+    @pytest.mark.parametrize("argv, code, message", [
+        (("train", "--k", 2, "--latent", 2, "--ae-seed=-1"), 1,
+         "usage error: seed must be non-negative"),
+        (("train", "--k", 2), 1, "usage error: --latent is required for inline pretraining"),
+        (("sweep", "--k", 2, "--latent", 2, "--gamma-list", "0,1", "--dropout", "1.5"), 1,
+         "usage error: dropout must lie in [0, 1)"),
+        (("train", "--k", 2, "--pretrain", "missing.json"), 2,
+         "error: [Errno 2] No such file or directory"),
+    ])
+    def test_out_is_made_only_after_every_input_is_checked(self, synth_dir, tmp_path,
+                                                            monkeypatch, capsys, argv, code,
+                                                            message):
+        # the autoencoder's settings and a --pretrain checkpoint are checked
+        # after the read, but before --out is made (pretrain: TestPretrain)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--data", synth_dir / "data.csv", "--hidden", "8",
+                       "--out", "o") == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o").exists()
 
 
 class TestEnvironment:

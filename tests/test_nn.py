@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -241,12 +242,12 @@ class TestSgdStep:
         # from rest the velocity is the gradient: p = 1 - 0.1 * 2
         params = self.one_param(1.0)
         grads = self.one_param(2.0)
-        assert sgd_step(params, grads, params.zeros_like(), 0.1, 0.0) is None
+        assert sgd_step(params, grads, params.zeros_like(), 0.1) is None
         assert params["p"].weight[0, 0] == pytest.approx(0.8)
 
     def test_zero_gradient_is_fixed_point(self):
         params = self.one_param(3.5)
-        sgd_step(params, params.zeros_like(), params.zeros_like(), 0.5, 5.0)
+        sgd_step(params, params.zeros_like(), params.zeros_like(), 0.5)
         assert params["p"].weight[0, 0] == 3.5
 
     def test_momentum_accumulates(self):
@@ -254,9 +255,9 @@ class TestSgdStep:
         assert nn.MOMENTUM == 0.9
         params = self.one_param(0.0)
         grads, vel = self.one_param(1.0), params.zeros_like()
-        sgd_step(params, grads, vel, 1.0, 0.0)
+        sgd_step(params, grads, vel, 1.0)
         assert params["p"].weight[0, 0] == pytest.approx(-1.0)
-        sgd_step(params, grads, vel, 1.0, 0.0)
+        sgd_step(params, grads, vel, 1.0)
         assert params["p"].weight[0, 0] == pytest.approx(-2.9)
         assert vel["p"].weight[0, 0] == pytest.approx(1.9)
 
@@ -265,43 +266,43 @@ class TestSgdStep:
         grads = params.zeros_like()
         grads["p"].weight[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="non-finite gradient for entry 'p'"):
-            sgd_step(params, grads, params.zeros_like(), 0.1, 5.0)
+            sgd_step(params, grads, params.zeros_like(), 0.1)
         assert params["p"].weight[0, 0] == 1.0
 
     def test_non_positive_learning_rate_rejected(self):
         params = self.one_param(1.0)
         with pytest.raises(ValueError, match="learning rate"):
-            sgd_step(params, params.copy(), params.zeros_like(), 0.0, 0.0)
+            sgd_step(params, params.copy(), params.zeros_like(), 0.0)
 
     def test_clip_rescales_large_gradients(self):
+        # one weight and a zero bias: the global norm is the weight itself
+        assert nn.CLIP_NORM == 5.0
         grads = self.one_param(30.0)
-        clipped = clip_gradients(grads, 3.0)
-        assert clipped["p"].weight[0, 0] == pytest.approx(3.0)
-        assert clip_gradients(grads, 0.0) is grads
+        assert clip_gradients(grads) is grads
+        assert grads["p"].weight[0, 0] == pytest.approx(5.0)
+        for norm in (3.0, 5.0, np.nextafter(5.0, 6.0)):
+            clipped = clip_gradients(self.one_param(norm))["p"].weight[0, 0]
+            assert (clipped == norm) == (norm <= 5.0)
 
     def test_mismatched_gradient_layout_rejected(self):
         params = self.one_param(1.0)
         grads = ParamSet({"q": AffineLayer(np.array([[1.0]]), np.zeros(1), "identity")})
         with pytest.raises(ValueError, match="layout"):
-            sgd_step(params, grads, params.zeros_like(), 0.1, 0.0)
+            sgd_step(params, grads, params.zeros_like(), 0.1)
 
-    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch,
-                                                                 clip_norm, bad):
+    def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch, bad):
         monkeypatch.setattr(nn, "SGD_BLOCK", 2)
         params = ParamSet({"v": np.ones((1, 2)), "w": np.ones((1, 5))})
         grads, velocity = params.copy(), params.copy()
         grads.buffer[-1] = bad
         before = grads.buffer.tobytes()
         with pytest.raises(RuntimeError, match="non-finite gradient for entry 'w'"):
-            sgd_step(params, grads, velocity, 0.1, clip_norm)
+            sgd_step(params, grads, velocity, 0.1)
         assert np.all(params.buffer == 1.0) and np.all(velocity.buffer == 1.0)
         assert grads.buffer.tobytes() == before
 
-    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
-    def test_finite_gradient_whose_squares_overflow_is_neither_scaled_nor_refused(
-            self, clip_norm):
+    def test_finite_gradient_whose_squares_overflow_is_neither_scaled_nor_refused(self):
         # 1e200 squared overflows, so the global norm is inf: no clip is
         # taken and the step still runs. numpy warns of the overflow, which
         # pretraining's epochs silence the same way.
@@ -310,7 +311,7 @@ class TestSgdStep:
         grads.buffer[:] = [1e200, -1e200, 1.0, 0.0, 2.0, 1e-3]
         g = grads.buffer.copy()
         with np.errstate(over="ignore"):
-            sgd_step(params, grads, velocity, 0.1, clip_norm)
+            sgd_step(params, grads, velocity, 0.1)
         assert grads.buffer.tobytes() == g.tobytes()
         assert velocity.buffer.tobytes() == g.tobytes()
         np.testing.assert_array_equal(params.buffer, -(g * 0.1))
@@ -332,13 +333,15 @@ class TestSgdStep:
         params = ParamSet({"w": np.zeros((1000, 1000))})
         grads, velocity = params.copy(), params.zeros_like()
         grads.buffer[:] = 1.0
-        assert step_peak(params, grads, velocity, 0.1, 0.0) < 1_000_000
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "CLIP_NORM", math.inf)
+            assert step_peak(params, grads, velocity, 0.1) < 1_000_000
         np.testing.assert_array_equal(params.buffer, -0.1 * velocity.buffer)
-        # a step that cannot clip (global norm 1 at clip_norm 5) takes only
+        # a step that cannot clip (global norm 1 at CLIP_NORM 5) takes only
         # the flat dot of the buffer, never a squared copy of it
         grads.buffer[:] = 1e-3
         params.buffer[:], velocity.buffer[:] = 0.0, 0.0
-        assert step_peak(params, grads, velocity, 0.1, 5.0) < 1_000_000
+        assert step_peak(params, grads, velocity, 0.1) < 1_000_000
         assert np.all(grads.buffer == 1e-3)
         np.testing.assert_array_equal(params.buffer, -0.1 * velocity.buffer)
 
@@ -416,9 +419,9 @@ class TestSgdStep:
             refs.extend(weakref.ref(a) for a in (out, tape, *(h for s in tape.steps for h in s)))
             return out, tape
 
-        def traced_sgd_step(params, grads, velocity, lr, clip_norm):
+        def traced_sgd_step(params, grads, velocity, lr):
             refs.extend((weakref.ref(grads), weakref.ref(grads.buffer)))
-            real["sgd_step"](params, grads, velocity, lr, clip_norm)
+            real["sgd_step"](params, grads, velocity, lr)
 
         def traced_apply(layers, x):
             if len(dead_at_loss_pass) == 0 and refs:  # the epoch's loss pass
@@ -609,12 +612,12 @@ def entry_order_squared_norm(grads):
                else float(np.sum(g**2)) for _, g in grads.items())
 
 
-def entry_order_clip(grads, max_norm):
+def entry_order_clip(grads):
     """The clip as it reads without the flat dot: every step sums the
-    entry-order norm and scales by it when it exceeds max_norm."""
+    entry-order norm and scales by it when it exceeds CLIP_NORM."""
     total = np.sqrt(entry_order_squared_norm(grads))
-    if np.isfinite(total) and total > max_norm:
-        grads.buffer *= max_norm / total
+    if np.isfinite(total) and total > nn.CLIP_NORM:
+        grads.buffer *= nn.CLIP_NORM / total
     return grads
 
 
@@ -643,39 +646,42 @@ class TestProperties:
         assert same_layers(load_params(path), layers)
 
     @given(param_sets(), st.floats(1e-3, 1e3))
-    def test_clipped_norm_is_at_most_max_norm(self, grads, max_norm):
+    def test_clipped_norm_is_at_most_clip_norm(self, grads, scale):
+        # scaled by CLIP_NORM / scale, the set stands against CLIP_NORM as
+        # it stood against a bound of scale: from far below it to far above
+        grads.buffer *= nn.CLIP_NORM / scale
         before = np.linalg.norm(grads.flatten())
-        expected = entry_order_clip(grads.copy(), max_norm)
-        clipped = clip_gradients(grads, max_norm)
+        expected = entry_order_clip(grads.copy())
+        clipped = clip_gradients(grads)
         assert clipped is grads
         assert grads.buffer.tobytes() == expected.buffer.tobytes()
         after = np.linalg.norm(grads.flatten())
-        # the rescaled norm may exceed max_norm by rounding only
-        assert after <= max_norm * (1 + 1e-12)
-        if before <= max_norm:
+        # the rescaled norm may exceed CLIP_NORM by rounding only
+        assert after <= nn.CLIP_NORM * (1 + 1e-12)
+        if before <= nn.CLIP_NORM:
             assert after == before
 
     @settings(max_examples=200)
-    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.integers(-4, 4))
-    def test_clip_near_max_norm_equals_the_entry_order_clip(self, seed, norm, ulps):
-        # a random set is scaled to the given global norm, then max_norm is
-        # put `ulps` ULPs from its entry-order norm: below it the step
-        # clips, on or above it the step does not; either way the buffer
-        # holds the bytes the entry-order clip leaves
+    @given(st.integers(0, 2**32 - 1), st.integers(-4, 4))
+    def test_clip_near_clip_norm_equals_the_entry_order_clip(self, seed, ulps):
+        # a random set is scaled to the global norm CLIP_NORM, then by
+        # 1 + ulps·2⁻⁵², which leaves its entry-order norm a few ULPs below,
+        # on or above CLIP_NORM: above it the step clips, on or below it
+        # the step does not; either way the buffer holds the bytes the
+        # entry-order clip leaves
         rng = np.random.default_rng(seed)
         widths = rng.integers(1, 60, size=rng.integers(2, 5))
         grads = random_params(rng, dims=tuple(widths))
         grads.buffer *= 10.0 ** rng.uniform(-3, 3, grads.n_params)
-        grads.buffer *= norm / np.sqrt(entry_order_squared_norm(grads))
+        grads.buffer *= nn.CLIP_NORM / np.sqrt(entry_order_squared_norm(grads))
+        grads.buffer *= 1.0 + ulps * 2.0**-52
         exact = np.sqrt(entry_order_squared_norm(grads))
-        max_norm = exact
-        for _ in range(abs(ulps)):
-            max_norm = np.nextafter(max_norm, np.sign(ulps) * np.inf)
-        expected = entry_order_clip(grads.copy(), max_norm)
+        assert abs(exact - nn.CLIP_NORM) <= 16 * np.spacing(nn.CLIP_NORM)
+        expected = entry_order_clip(grads.copy())
         before = grads.buffer.tobytes()
-        clip_gradients(grads, max_norm)
+        clip_gradients(grads)
         assert grads.buffer.tobytes() == expected.buffer.tobytes()
-        assert (grads.buffer.tobytes() == before) == (exact <= max_norm)
+        assert (grads.buffer.tobytes() == before) == (exact <= nn.CLIP_NORM)
 
     @given(param_sets(), st.floats(1e-4, 1.0), st.data())
     def test_sgd_step_is_the_momentum_update(self, params, lr, data):
@@ -684,22 +690,24 @@ class TestProperties:
         g, v = np.array(data.draw(vectors)), np.array(data.draw(vectors))
         p = params.flatten()
         velocity = params.unflatten(v)
-        sgd_step(params, params.unflatten(g), velocity, lr, 0.0)
+        with mock.patch.object(nn, "CLIP_NORM", math.inf):  # clipping off
+            sgd_step(params, params.unflatten(g), velocity, lr)
         np.testing.assert_array_equal(velocity.buffer, m * v + g)
         np.testing.assert_array_equal(params.buffer, p - lr * (m * v + g))
 
     @given(param_sets(), st.floats(1e-4, 1.0), st.floats(1e-3, 1e3), st.data())
-    def test_sgd_step_clips_then_updates(self, params, lr, clip_norm, data):
+    def test_sgd_step_clips_then_updates(self, params, lr, scale, data):
         n = params.n_params
         vectors = st.lists(finite, min_size=n, max_size=n)
-        g = np.array(data.draw(vectors))
+        g = np.array(data.draw(vectors)) * (nn.CLIP_NORM / scale)
         stepped, grads = params.copy(), params.unflatten(g)
         velocity = params.zeros_like()
-        sgd_step(stepped, grads, velocity, lr, clip_norm)
-        clipped = clip_gradients(params.unflatten(g), clip_norm)
+        sgd_step(stepped, grads, velocity, lr)
+        clipped = clip_gradients(params.unflatten(g))
         assert grads.buffer.tobytes() == clipped.buffer.tobytes()
         expected, expected_v = params.copy(), params.zeros_like()
-        sgd_step(expected, clipped, expected_v, lr, 0.0)
+        with mock.patch.object(nn, "CLIP_NORM", math.inf):  # clipping off
+            sgd_step(expected, clipped, expected_v, lr)
         assert stepped.buffer.tobytes() == expected.buffer.tobytes()
         assert velocity.buffer.tobytes() == expected_v.buffer.tobytes()
 
@@ -710,9 +718,9 @@ class TestProperties:
         g, v = params.unflatten(data.draw(vectors)), np.array(data.draw(vectors))
         whole, blocked = params.copy(), params.copy()
         v_whole, v_blocked = params.unflatten(v), params.unflatten(v)
-        sgd_step(whole, g, v_whole, lr, 0.0)  # one block: n < SGD_BLOCK
+        sgd_step(whole, g.copy(), v_whole, lr)  # one block: n < SGD_BLOCK
         with mock.patch.object(nn, "SGD_BLOCK", block):
-            sgd_step(blocked, g, v_blocked, lr, 0.0)
+            sgd_step(blocked, g, v_blocked, lr)
         assert blocked.buffer.tobytes() == whole.buffer.tobytes()
         assert v_blocked.buffer.tobytes() == v_whole.buffer.tobytes()
 
@@ -723,7 +731,7 @@ class TestProperties:
         grads = ParamSet({"w": np.ones((1, 1))})
         velocity = params.zeros_like()
         for _ in range(steps):
-            sgd_step(params, grads, velocity, 0.1, 0.0)
+            sgd_step(params, grads, velocity, 0.1)
         # v_k = (1 - m^k) / (1 - m);  p_k = -lr * sum_{j<=k} v_j
         v = [(1 - momentum**j) / (1 - momentum) for j in range(1, steps + 1)]
         assert velocity.buffer[0] == pytest.approx(v[-1], rel=1e-12)
