@@ -110,10 +110,13 @@ def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_strea
         sgd_step(params, grads, velocity, lr)
 
 
-def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
-    """Shared epoch loop with learning-rate backoff. Returns (params,
-    [(epoch, clean full-data loss, learning rate), ...]) from epoch 0, the
-    starting loss.
+def _run_epochs(params, X, epochs, lr, batch, rng, dropout, stage):
+    """Shared epoch loop with learning-rate backoff. Returns (params, log):
+    one entry {**stage, "epoch", "loss", "lr"} per epoch from epoch 0, the
+    starting loss. Each loss is the clean full-data reconstruction error
+    after the epoch, and each rate the one the next epoch starts at. stage
+    holds the fixed fields of every entry ({"stage": "layerwise", "layer":
+    i} or {"stage": "global"}), which also name a divergence.
 
     Each epoch trains copies of params and velocity with one
     `_minibatch_sweep`, so a bad epoch can be rolled back. An epoch whose
@@ -122,13 +125,13 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
     rolled back, the rate halved, and the epoch retried once. A retry that
     is still bad halves the rate again and leaves the epoch rolled back, so
     a quarter of the epoch's starting rate carries forward. A learning rate
-    driven below 1e-8 signals divergence.
+    driven below 1e-8 is a RuntimeError naming the stage and epoch.
     """
     velocity = params.zeros_like()
     shuffle = rng.stream("shuffle")
     noise_stream = rng.stream("dropout") if dropout else None
     prev = reconstruction_squared_error(params, X)
-    history = [(0, prev, lr)]
+    log = [{**stage, "epoch": 0, "loss": prev, "lr": lr}]
     for epoch in range(1, epochs + 1):
         order = shuffle.permutation(len(X))
         for attempt in (0, 1):
@@ -145,9 +148,10 @@ def _run_epochs(params, X, epochs, lr, batch, rng, dropout, diverged_msg):
                 break
             lr *= 0.5
             if lr < 1e-8:
-                raise RuntimeError(diverged_msg.format(epoch=epoch))
-        history.append((epoch, prev, lr))
-    return params, history
+                where = ", ".join(f"{key} {value}" for key, value in stage.items())
+                raise RuntimeError(f"pretraining diverged at {where}, epoch {epoch}")
+        log.append({**stage, "epoch": epoch, "loss": prev, "lr": lr})
+    return params, log
 
 
 def pretrain_layerwise(X, cfg, rng=None):
@@ -156,8 +160,8 @@ def pretrain_layerwise(X, cfg, rng=None):
     Each (encoder, decoder) layer pair trains as a denoising autoencoder on
     the clean output of the already-trained layers below it, corrupting
     only its own input with dropout noise and minimizing squared
-    reconstruction error. Logged losses are clean full-data reconstruction
-    errors after each epoch. Returns (params, log).
+    reconstruction error. Returns (params, log), the log holding each
+    pair's `_run_epochs` entries in layer order, stage "layerwise".
     """
     X = np.asarray(X, dtype=float)
     cfg = _check_input(X, cfg)
@@ -167,13 +171,12 @@ def pretrain_layerwise(X, cfg, rng=None):
     trained, log, h = {}, [], X
     for i in range(depth):
         enc_name, dec_name = f"enc{i}", f"dec{depth - 1 - i}"
-        pair, history = _run_epochs(
+        pair, pair_log = _run_epochs(
             ParamSet([(enc_name, init[enc_name]), (dec_name, init[dec_name])]), h,
             cfg.layerwise_epochs, cfg.lr_pretrain, cfg.batch, rng, cfg.dropout,
-            f"layer-wise pretraining diverged at layer {i} (epoch {{epoch}})")
+            {"stage": "layerwise", "layer": i})
         trained.update(pair.items())
-        log += [{"stage": "layerwise", "layer": i, "epoch": epoch, "loss": loss}
-                for epoch, loss, _ in history[1:]]
+        log += pair_log
         h = apply([pair[enc_name]], h)
     return ParamSet((name, trained[name]) for name in init.names()), log
 
@@ -182,19 +185,11 @@ def finetune_global(X, params, epochs, lr, batch, rng):
     """End-to-end reconstruction training without corruption; params is
     left as it is. batch is the minibatch size and rng the `Rng` whose
     "shuffle" stream orders each epoch; `pretrain` passes its config's batch
-    and the Rng that layer-wise pretraining used.
-
-    Each logged loss is the full-data reconstruction error after the
-    epoch (entry 0 is the starting loss), and each logged rate the one the
-    next epoch starts at. A non-finite epoch, or one that more than doubles
-    the previous loss, is rolled back, the learning rate halved, and the
-    epoch retried once; a retry that fails too halves the rate again and
-    stays rolled back, so the next epoch starts at a quarter of the rate.
+    and the Rng that layer-wise pretraining used. Returns (params, log),
+    the log being `_run_epochs`'s entries, stage "global".
     """
-    params, history = _run_epochs(params, np.asarray(X, dtype=float), epochs, lr, batch,
-                                  rng, 0.0, "global fine-tuning diverged at epoch {epoch}")
-    return params, [{"stage": "global", "epoch": epoch, "loss": loss, "lr": lr_now}
-                    for epoch, loss, lr_now in history]
+    return _run_epochs(params, np.asarray(X, dtype=float), epochs, lr, batch, rng, 0.0,
+                       {"stage": "global"})
 
 
 def pretrain(X, cfg):

@@ -9,10 +9,10 @@ Config objects are built once, from the option tables: the SynthSpec and
 one TrainConfig per seed (and sweep point) before any file is read, and
 the AeConfig, which needs the data width, once after the read; --out is
 made only once it and any --pretrain checkpoint are checked. Invalid
-settings, a --config file that cannot be read, an empty list or a value
-listed twice in --seeds, --gamma-list or --k-list, and sweep values that
-would share a directory are usage errors, as is --dump-latent without
---out.
+settings, a --config file that cannot be read or that sets a key twice,
+an empty --out, an empty list or a value listed twice in --seeds,
+--gamma-list or --k-list, and sweep values that would share a directory
+are usage errors, as is --dump-latent without --out.
 Artifacts land under --out with a manifest.json index. Exit codes:
 0 success, 1 usage error, 2 runtime failure.
 """
@@ -162,7 +162,7 @@ def build_parser():
 
 
 def parse_config_file(path):
-    values = {}
+    values, line_of = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -176,7 +176,9 @@ def parse_config_file(path):
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+        if key in values:
+            raise CliError(f"{path}:{line_no}: {key} is already set on line {line_of[key]}")
+        values[key], line_of[key] = value, line_no
     return values
 
 
@@ -198,6 +200,9 @@ def resolve(args, command):
         except ValueError:
             raise CliError(f"{where}: invalid value {raw!r}") from None
     resolved["out"] = args.out if args.out is not None else from_file.get("out")
+    if resolved["out"] == "":
+        raise CliError("--out must name a directory" if args.out is not None
+                       else f"{args.config}: out must name a directory")
     missing = [k for k in REQUIRED[command] if resolved.get(k) is None]
     if missing:
         raise CliError(f"missing required options: {missing}")
@@ -461,7 +466,8 @@ def cmd_sweep(opts):
 
     ds = _load_dataset(opts)
     # One shared pretraining per dataset isolates the swept axis.
-    ae = _checked_ae(ds, {**opts, "latent": opts["latent"] or opts["k"]})
+    latent = opts["latent"] if opts["latent"] is not None else opts["k"]
+    ae = _checked_ae(ds, {**opts, "latent": latent})
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     ae_params, artifacts = _autoencoder(ds, ae, out)

@@ -303,6 +303,8 @@ def train(ds, ae_params, cfg):
         raise ValueError(f"K={cfg.K} exceeds the number of points {N}")
     if ds.T < 2:
         raise ValueError("training requires at least two protected states")
+    if not ae_params.layers("enc"):
+        raise ValueError("ae_params holds no encoder (enc*) layers")
 
     rng = Rng(cfg.seed)
     Z = encode(ae_params, X)

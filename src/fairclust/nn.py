@@ -382,10 +382,12 @@ def require_fields(record, names, where=""):
 
 
 def read_json(path):
-    """The parsed JSON file at path; text that does not parse is a
-    ValueError naming the file."""
+    """The parsed JSON file at path; bytes that are not UTF-8, or text that
+    does not parse, are a ValueError naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 

@@ -84,7 +84,17 @@ class TestPretrainLayerwise:
         fresh = init_params(cfg.dims, Rng(3).stream("init"))
         for name, layer in fresh.items():
             np.testing.assert_array_equal(params[name].weight, layer.weight)
-        assert log == []
+        # each pair logs its starting loss, on the clean output of the
+        # layers below it, and the rate its first epoch would start at
+        h1 = apply([fresh["enc0"]], X)
+        assert log == [
+            {"stage": "layerwise", "layer": 0, "epoch": 0, "lr": cfg.lr_pretrain,
+             "loss": reconstruction_squared_error(
+                 ParamSet([("enc0", fresh["enc0"]), ("dec1", fresh["dec1"])]), X)},
+            {"stage": "layerwise", "layer": 1, "epoch": 0, "lr": cfg.lr_pretrain,
+             "loss": reconstruction_squared_error(
+                 ParamSet([("enc1", fresh["enc1"]), ("dec0", fresh["dec0"])]), h1)},
+        ]
 
     def test_earlier_layers_untouched_while_training_later_ones(self):
         X = toy_data(30, 4, seed=2)
@@ -105,9 +115,47 @@ class TestPretrainLayerwise:
         cfg = AeConfig(dims=(3, 4, 2), layerwise_epochs=3, global_epochs=0,
                        batch=8, seed=0)
         _, log = pretrain_layerwise(X, cfg)
-        assert len(log) == 2 * 3
-        assert {(e["layer"], e["epoch"]) for e in log} == {(l, e) for l in (0, 1)
-                                                           for e in (1, 2, 3)}
+        assert [(e["layer"], e["epoch"]) for e in log] == [(l, e) for l in (0, 1)
+                                                           for e in (0, 1, 2, 3)]
+        for entry in log:
+            assert set(entry) == {"stage", "layer", "epoch", "loss", "lr"}
+            assert entry["stage"] == "layerwise"
+
+    def test_log_shows_a_rollback(self, monkeypatch):
+        # the first sweep meets a non-finite gradient: epoch 1 of layer 0 is
+        # rolled back once, so its rate is halved and the retry's loss logged
+        real_sweep, calls = autoencoder._minibatch_sweep, []
+
+        def sweep_failing_once(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("non-finite gradient")
+            real_sweep(*args)
+
+        monkeypatch.setattr(autoencoder, "_minibatch_sweep", sweep_failing_once)
+        cfg = AeConfig(dims=(3, 4, 2), layerwise_epochs=2, global_epochs=0,
+                       batch=8, lr_pretrain=0.1, seed=0)
+        _, log = pretrain_layerwise(toy_data(16, 3), cfg)
+        assert [e["lr"] for e in log] == [0.1, 0.05, 0.05, 0.1, 0.1, 0.1]
+        assert len(calls) == 2 * 2 + 1
+
+    @pytest.mark.parametrize("stage, message", [
+        ("layerwise", "pretraining diverged at stage layerwise, layer 0, epoch 1"),
+        ("global", "pretraining diverged at stage global, epoch 1"),
+    ])
+    def test_divergence_names_stage_layer_and_epoch(self, monkeypatch, stage, message):
+        def sweep_that_fails(*args):
+            raise RuntimeError("non-finite gradient")
+
+        monkeypatch.setattr(autoencoder, "_minibatch_sweep", sweep_that_fails)
+        X = toy_data(16, 3)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            if stage == "layerwise":
+                pretrain_layerwise(X, AeConfig(dims=(3, 2), layerwise_epochs=1,
+                                               global_epochs=0, lr_pretrain=1e-8))
+            else:
+                finetune_global(X, init_params((3, 2), Rng(0).stream("init")),
+                                epochs=1, lr=1e-8, batch=8, rng=Rng(0))
 
 
 class TestFinetuneGlobal:

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from fairclust import autoencoder, clustering, data, model
+from fairclust import autoencoder, cli, clustering, data, model
 from fairclust.autoencoder import AeConfig
 from fairclust.cli import (AE_OPTS, FIELD_OF, SYNTH_OPTS, TRAIN_OPTS, _config, _write_jsonl,
                            build_parser, main, parse_config_file, resolve)
@@ -103,8 +103,11 @@ class TestPretrain:
                  (tmp_path / "pretrain_log.jsonl").read_text().splitlines()]
         layerwise = [l for l in lines if l["stage"] == "layerwise"]
         global_ = [l for l in lines if l["stage"] == "global"]
-        assert len(layerwise) == 2 * 2   # two layer pairs, two epochs each
-        assert len(global_) == 3 + 1     # per epoch plus the starting loss
+        # per epoch plus the starting loss: two layer pairs, then the stack
+        assert [(l["layer"], l["epoch"]) for l in layerwise] == [(0, 0), (0, 1), (0, 2),
+                                                                 (1, 0), (1, 1), (1, 2)]
+        assert [l["epoch"] for l in global_] == [0, 1, 2, 3]
+        assert all({"stage", "epoch", "loss", "lr"} <= set(l) for l in lines)
 
     def test_checkpoint_loadable_by_train(self, synth_dir, tmp_path):
         pre = tmp_path / "pre"
@@ -423,6 +426,15 @@ class TestSweep:
         assert capsys.readouterr().err == f"usage error: {axis[0]} must list at least one value\n"
         assert not (tmp_path / "w").exists()
 
+    def test_zero_latent_is_refused_not_replaced_by_k(self, synth_dir, tmp_path, capsys):
+        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
+                       "--hidden", "8", "--latent", 0, "--k", 3, "--gamma-list", "0",
+                       "--layerwise-epochs", 1, "--global-epochs", 1, "--max-epochs", 1,
+                       "--seeds", "1", "--out", tmp_path / "w")
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: layer widths must be positive\n"
+        assert not (tmp_path / "w").exists()
+
 
 class TestClassDefaults:
     """An option left unset keeps the default of the config class it sets."""
@@ -528,6 +540,13 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"usage error: {cfg}: {reason}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_key_set_twice_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 30\ndims = 2\n# n = 35\nn = 40\n")
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"usage error: {cfg}:4: n is already set on line 1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_precedence_mechanism_for_every_field(self, tmp_path):
         # for each command and each option: a config-file value overrides
         # the default, and a flag overrides the file
@@ -619,6 +638,55 @@ class TestNoOutputOnRefusal:
         assert run_cli(*argv, "--data", synth_dir / "data.csv", "--hidden", "8",
                        "--out", "o") == code
         assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o").exists()
+
+
+    REQUIRED_FLAGS = {
+        "synth": (),
+        "pretrain": ("--data", "d.csv", "--latent", 2),
+        "train": ("--data", "d.csv", "--k", 2, "--latent", 2),
+        "eval": ("--model", "m.json", "--data", "d.csv"),
+        "sweep": ("--data", "d.csv", "--k", 2, "--latent", 2, "--gamma-list", "0"),
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    def test_empty_out_refused_before_any_read_or_write(self, tmp_path, monkeypatch,
+                                                        capsys, command, source):
+        for module, name in ((data, "load_csv"), (data, "load_with_manifest"),
+                             (model, "load_model"), (cli, "load_params")):
+            monkeypatch.setattr(module, name, no_reads)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        workdir = tmp_path / "wd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        where = ("--out", "") if source == "flag" else ("--config", cfg)
+        assert run_cli(command, *self.REQUIRED_FLAGS[command], *where) == 1
+        expected = "--out" if source == "flag" else f"{cfg}: out"
+        assert capsys.readouterr().err == f"usage error: {expected} must name a directory\n"
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval", "pretrain"])
+    def test_json_that_is_not_utf8_names_its_file(self, synth_dir, tmp_path, monkeypatch,
+                                                  capsys, command):
+        # the --pretrain checkpoint, the --model checkpoint, and the data
+        # manifest: each is read once, and its path leads the message
+        bad = b"\xff{}"
+        csv_path = synth_dir / "data.csv"
+        if command == "pretrain":
+            csv_path = tmp_path / "data.csv"
+            csv_path.write_bytes((synth_dir / "data.csv").read_bytes())
+            (path := tmp_path / "data.manifest.json").write_bytes(bad)
+            argv = ("pretrain", "--latent", 2, "--out", "o")
+        else:
+            (path := tmp_path / f"{command}.json").write_bytes(bad)
+            argv = (("train", "--k", 2, "--pretrain", path, "--out", "o")
+                    if command == "train" else ("eval", "--model", path))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--data", csv_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8: invalid start byte at byte 0\n")
         assert not (tmp_path / "o").exists()
 
 

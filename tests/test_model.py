@@ -421,6 +421,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="exceeds"):
             train(ds, ae, TrainConfig(K=8, seed=0, max_epochs=1))
 
+    def test_autoencoder_without_encoder_refused_before_encoding(self, monkeypatch):
+        spec = fc.SynthSpec(n_points=6, dims=2, n_blobs=2, T=2, correlation=0.5, seed=0)
+        ds = fc.synth_blobs(spec)
+        decoder = ParamSet([(name, layer) for name, layer
+                            in init_params((2, 2), Rng(0).stream("init")).items()
+                            if name.startswith("dec")])
+
+        def no_encoding(*args):
+            raise AssertionError("encoded")
+
+        monkeypatch.setattr(fc.model, "encode", no_encoding)
+        with pytest.raises(ValueError, match=r"^ae_params holds no encoder \(enc\*\) layers$"):
+            train(ds, decoder, TrainConfig(K=2, seed=0, max_epochs=1))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_rate_raises(self, monkeypatch):
         # the assignment kernel saturates instead of overflowing, so the
