@@ -9,7 +9,8 @@ partitions: per-cluster histograms, the Wasserstein fairness distance
 import numpy as np
 
 import fairclust as fc
-from fairclust.metrics import balance, cluster_histograms, cv_score, fwd
+from fairclust.clustering import contingency
+from fairclust.metrics import balance, cv_score, fwd
 
 # Four blobs, four protected states. With correlation 0.9 each point's
 # state matches its blob 92.5% of the time, so clustering by geometry
@@ -22,15 +23,18 @@ print(f"state counts: {ds.state_counts()}")
 
 # The ideal geometric clustering is simply the blob labels.
 print("\nclustering by blob identity (geometrically perfect, very unfair):")
-for hist in cluster_histograms(ds.labels, ds.protected, K=4, T=4):
-    print(f"  histogram {np.round(hist.h, 3)}  fwd={fwd(hist.h):.3f}")
+# Each row of the cluster-by-state count table is one cluster's counts.
+for counts in contingency(ds.labels, ds.protected, 4, 4):
+    h = counts / counts.sum()
+    print(f"  histogram {np.round(h, 3)}  fwd={fwd(h):.3f}")
 
 # A random partition is fair but useless.
 rng = np.random.default_rng(0)
 random_assign = rng.integers(0, 4, size=ds.n)
 print("\nrandom partition (useless, very fair):")
-for hist in cluster_histograms(random_assign, ds.protected, K=4, T=4):
-    print(f"  histogram {np.round(hist.h, 3)}  fwd={fwd(hist.h):.3f}")
+for counts in contingency(random_assign, ds.protected, 4, 4):
+    h = counts / counts.sum()
+    print(f"  histogram {np.round(h, 3)}  fwd={fwd(h):.3f}")
 
 # FWD ranges from 0 (uniform histogram) to (T-1)/T (monochromatic).
 print(f"\nfwd bounds for T=4: 0 .. {fwd([1, 0, 0, 0]):.2f}")

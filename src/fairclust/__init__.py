@@ -6,7 +6,7 @@ balance, Calders-Verwer, ACC, NMI) and an experiment harness.
 from .autoencoder import AeConfig, decode, encode, finetune_global, pretrain, pretrain_layerwise
 from .clustering import hungarian_match, kmeans_pp_init, lloyd
 from .data import Dataset, SynthSpec, load_csv, load_with_manifest, normalize, save_csv, split, synth_blobs
-from .metrics import MetricsReport, acc, balance, cluster_histograms, cv_score, fwd, nmi, report, report_from_assignments
+from .metrics import MetricsReport, acc, balance, cv_score, fwd, nmi, report, report_from_assignments
 from .model import (
     TrainConfig,
     TrainedModel,

@@ -46,17 +46,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text):
-    try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(v) for v in str(text).split(",") if v != ""]
 
 
 def _float_list(text):
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise CliError(f"expected a comma-separated number list, got {text!r}")
+    return [float(v) for v in str(text).split(",") if v != ""]
 
 
 def _bool(text):
@@ -65,11 +59,12 @@ def _bool(text):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 # Option tables: dest -> (converter, default, help). The converter also
-# parses config-file values, so flags and files share one type system.
+# parses config-file values, so flags and files share one type system; a
+# ValueError from it is a usage error naming the flag or the file key.
 DATA_OPTS = {
     "data": (str, None, "input CSV path"),
     "feature_cols": (lambda s: str(s).split(","), None, "numeric feature columns"),

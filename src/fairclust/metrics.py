@@ -1,7 +1,7 @@
-"""Evaluation quantities: per-cluster protected histograms, the Wasserstein
-fairness distance (FWD), balance and Calders-Verwer scores for binary
+"""Evaluation quantities: the Wasserstein fairness distance (FWD) of a
+cluster's protected histogram, balance and Calders-Verwer scores for binary
 attributes, clustering accuracy, normalized mutual information, and the
-aggregate report.
+aggregate report, which holds each cluster's counts and histogram.
 """
 
 from __future__ import annotations
@@ -21,32 +21,6 @@ REPORT_VERSION = 1
 # The headline fields of a report: recorded each training epoch and
 # aggregated across seeds.
 SUMMARY_FIELDS = ("acc", "nmi", "fwd_mean", "fwd_max", "balance_min")
-
-
-@dataclass(frozen=True)
-class ClusterHistogram:
-    """Protected-state composition of one cluster."""
-
-    counts: np.ndarray
-    cluster_size: int
-
-    @property
-    def h(self):
-        if self.cluster_size == 0:
-            return np.zeros(len(self.counts))
-        return self.counts / self.cluster_size
-
-    @property
-    def empty(self):
-        return self.cluster_size == 0
-
-
-def cluster_histograms(assignments, protected, K, T):
-    """Per-cluster protected histograms. Empty clusters stay flagged so the
-    fairness aggregates can exclude them. Rows are clusters 0..K-1 and
-    columns protected states 0..T-1 of one contingency table."""
-    return [ClusterHistogram(counts=counts, cluster_size=int(counts.sum()))
-            for counts in contingency(assignments, protected, K, T)]
 
 
 def fwd(h, T=None, ordered=False):
@@ -151,23 +125,24 @@ def report_from_assignments(assignments, protected, T, K, labels=None):
     """All applicable metrics for one hard clustering.
 
     fwd_mean is the unweighted mean over non-empty clusters, fwd_max the
-    worst (unfairest) cluster. Empty clusters are excluded from the
-    fairness aggregates but still counted against K_effective.
+    worst (unfairest) cluster. Each cluster is one row of the contingency
+    table (counts, size and, when non-empty, histogram counts / size).
+    Empty clusters are excluded from the fairness aggregates but still
+    counted against K_effective.
     """
-    hists = cluster_histograms(assignments, protected, K, T)
     per_cluster = []
     fwd_values = []
     balance_values = []
-    for k, hist in enumerate(hists):
-        entry = {"cluster": k, "size": hist.cluster_size,
-                 "counts": hist.counts.tolist()}
-        if not hist.empty:
-            h = hist.h
+    for k, counts in enumerate(contingency(assignments, protected, K, T)):
+        size = int(counts.sum())
+        entry = {"cluster": k, "size": size, "counts": counts.tolist()}
+        if size:
+            h = counts / size
             entry["histogram"] = h.tolist()
             entry["fwd"] = fwd(h, T)
             fwd_values.append(entry["fwd"])
             if T == 2:
-                entry["balance"] = balance(hist.counts)
+                entry["balance"] = balance(counts)
                 entry["cv"] = cv_score(h)
                 balance_values.append(entry["balance"])
         per_cluster.append(entry)

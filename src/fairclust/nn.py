@@ -12,10 +12,10 @@ the layer gradients into the views its caller passes. `sgd_step` is the
 one training step of both loops: it clips the gradients to the global
 norm `CLIP_NORM`, then momentum `MOMENTUM`, block by block, in place. So a
 training loop allocates its gradient and velocity sets once and copies a
-set before training it when the original must survive. The clip takes one
-flat dot of the gradient buffer to tell whether a step can clip at all;
-only a step that may clip sums the norm in the entry order that fixes its
-float64 result. `squared_error` squares its residual in place, and
+set before training it when the original must survive. The clip's one
+flat dot of the gradient buffer is also the step's finiteness test: only a
+non-finite dot scans the buffer; only a step that may clip sums the norm
+in entry order. `squared_error` squares its residual in place, and
 `residual_squared_error` lets a caller hand over a residual it owns.
 
 Checkpoints are JSON. Format version 2 stores each float array as a
@@ -364,11 +364,15 @@ def load_params(path):
 
 
 def require_finite(config):
-    """A ValueError naming the first float field of the dataclass instance
-    config whose value is nan or infinite. Range checks compare against
+    """Make each int held by a float field of the dataclass instance config
+    a float, so lr=20 logs as 20.0; then a ValueError naming the first
+    float field whose value is nan or infinite. Range checks compare against
     bounds, and nan passes every comparison that reads "not out of range"."""
     for f in fields(config):
         value = getattr(config, f.name)
+        if f.type == "float" and isinstance(value, int):
+            value = float(value)
+            object.__setattr__(config, f.name, value)
         if f.type == "float" and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
@@ -490,20 +494,26 @@ def clip_gradients(grads):
     2013) that bounds the step when a batch or a loss term spikes; it is a
     guard of the optimizer, not part of the objective.
 
-    One flat dot of the buffer decides whether the step can clip: when it
-    is below CLIP_NORM² less a margin, the exact norm is below CLIP_NORM
-    too and grads is returned untouched. Every other step, one that may
-    clip, overflows or holds a nan or inf, sums the squared norm entry by
-    entry, in entry order, and scales by it: that order is part of the
-    float64 result, and one flat reduction over the buffer rounds
-    differently, which training amplifies.
+    One flat dot of the buffer is the finiteness test and the clip test:
+    a finite dot proves every entry finite, and one below CLIP_NORM² less
+    a margin leaves grads untouched. Only a non-finite dot scans the
+    buffer; a nan or inf entry raises a RuntimeError naming its entry
+    before anything is scaled. A step that may clip, or whose squares
+    overflow, sums the squared norm in entry order and scales by it: one
+    flat reduction rounds differently, which training amplifies.
     """
     # Any float64 sum of n rounded squares lies within about n·2⁻⁵³
     # (relative) of the exact sum, so a margin of 4·(n + 1)·2⁻⁵³ covers the
     # dot, the entry-order sum and the rounding of the bound.
     limit = CLIP_NORM * CLIP_NORM * (1.0 - 4.0 * (grads.buffer.size + 1) * 2.0**-53)
-    if np.dot(grads.buffer, grads.buffer) < limit:
+    dot = np.dot(grads.buffer, grads.buffer)
+    if dot < limit:
         return grads
+    if not math.isfinite(dot):
+        first = int(np.argmin(np.isfinite(grads.buffer)))
+        if not math.isfinite(grads.buffer[first]):
+            name = [n for n, (offset, _, _) in grads._layout.items() if offset <= first][-1]
+            raise RuntimeError(f"non-finite gradient for entry {name!r}")
     total = np.sqrt(sum(_squared_norm(g) for _, g in grads.items()))
     if np.isfinite(total) and total > CLIP_NORM:
         grads.buffer *= CLIP_NORM / total
@@ -518,21 +528,16 @@ def sgd_step(params, grads, velocity, lr):
     grads and velocity must share the layout of params; grads is scaled by
     the clip and velocity and params are updated. It runs SGD_BLOCK values
     at a time, so lr*v is never parameter-sized; a step that cannot clip
-    makes no parameter-sized array at all. Raises on non-finite
-    gradients, the usual training divergence signal, before any value is
-    written.
+    makes no parameter-sized array at all. A mismatched layout, or a nan or
+    inf gradient (the usual divergence signal), raises before any write.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if grads._layout is not params._layout and grads._layout != params._layout:
-        raise ValueError("gradient layout does not match the parameters")
+    for what, other in (("gradient", grads), ("velocity", velocity)):
+        if other._layout is not params._layout and other._layout != params._layout:
+            raise ValueError(f"{what} layout does not match the parameters")
     g = clip_gradients(grads).buffer
-    blocks = [slice(start, start + SGD_BLOCK) for start in range(0, g.size, SGD_BLOCK)]
-    if not all(np.isfinite(g[b]).all() for b in blocks):
-        first = int(np.argmin(np.isfinite(g)))
-        name = [n for n, (offset, _, _) in grads._layout.items() if offset <= first][-1]
-        raise RuntimeError(f"non-finite gradient for entry {name!r}")
-    for b in blocks:
+    for b in (slice(start, start + SGD_BLOCK) for start in range(0, g.size, SGD_BLOCK)):
         v = velocity.buffer[b]
         v *= MOMENTUM
         v += g[b]

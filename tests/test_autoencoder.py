@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from unittest import mock
 
@@ -138,6 +139,15 @@ class TestPretrainLayerwise:
         _, log = pretrain_layerwise(toy_data(16, 3), cfg)
         assert [e["lr"] for e in log] == [0.1, 0.05, 0.05, 0.1, 0.1, 0.1]
         assert len(calls) == 2 * 2 + 1
+
+    def test_int_rate_logs_as_a_float(self):
+        # lr_pretrain=1 is stored as 1.0: every entry's rate is a float, so
+        # one pretrain_log.jsonl column never mixes JSON ints and floats
+        cfg = AeConfig(dims=(3, 4, 2), layerwise_epochs=1, global_epochs=1,
+                       batch=8, lr_pretrain=1, seed=0)
+        _, log = pretrain(toy_data(16, 3), cfg)
+        assert [type(e["lr"]) for e in log] == [float] * len(log)
+        assert json.dumps(log[0]["lr"]) == "1.0"
 
     @pytest.mark.parametrize("stage, message", [
         ("layerwise", "pretraining diverged at stage layerwise, layer 0, epoch 1"),

@@ -519,6 +519,23 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"usage error: {cfg}: k: invalid value 'abc'\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, key, raw", [
+        (("train", "--data", "d.csv", "--k", "2"), "seeds", "1,a"),
+        (("pretrain", "--data", "d.csv", "--latent", "2"), "hidden", "8,x"),
+        (("sweep", "--data", "d.csv", "--gamma-list", "0"), "k_list", "2,3.5"),
+        (("sweep", "--data", "d.csv", "--k-list", "2"), "gamma_list", "0,high"),
+        (("eval", "--model", "m.json", "--data", "d.csv"), "dump_latent", "maybe"),
+    ])
+    def test_list_or_bool_that_does_not_convert_names_flag_or_key(self, tmp_path, capsys,
+                                                                  argv, key, raw):
+        flag, cfg = "--" + key.replace("_", "-"), tmp_path / "run.cfg"
+        assert run_cli(*argv, flag, raw, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"usage error: {flag}: invalid value {raw!r}\n"
+        cfg.write_text(f"{key} = {raw}\n")
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"usage error: {cfg}: {key}: invalid value {raw!r}\n"
+        assert not (tmp_path / "o").exists()
+
     # clip_norm is no setting: the norm is the constant nn.CLIP_NORM
     @pytest.mark.parametrize("command, key", [("synth", "frobnicate"), ("train", "clip_norm")])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):

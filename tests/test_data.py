@@ -260,12 +260,13 @@ class TestSynthBlobs:
             assert chisquare(counts).pvalue > 0.01
 
     def test_monochromatic_blobs_at_full_correlation(self):
-        from fairclust.metrics import cluster_histograms, fwd
+        from fairclust.metrics import report_from_assignments
 
         ds = synth_blobs(SynthSpec(n_points=2000, dims=6, n_blobs=4, T=4,
                                    correlation=1.0, seed=3))
-        for hist in cluster_histograms(ds.labels, ds.protected, 4, 4):
-            assert fwd(hist.h) == pytest.approx((4 - 1) / 4)
+        rep = report_from_assignments(ds.labels, ds.protected, T=4, K=4)
+        for cluster in rep.per_cluster:
+            assert cluster["fwd"] == pytest.approx((4 - 1) / 4)
 
     def test_alignment_probability_converges(self):
         c = 0.6

@@ -8,10 +8,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import rel_entr
 
 import fairclust as fc
+from fairclust.clustering import contingency
 from fairclust.metrics import (
     acc,
     balance,
-    cluster_histograms,
     cv_score,
     fwd,
     histograms_to_csv,
@@ -21,25 +21,32 @@ from fairclust.metrics import (
 )
 
 
+def per_cluster(assignments, protected, K, T):
+    return report_from_assignments(assignments, protected, T=T, K=K).per_cluster
+
+
 class TestClusterHistograms:
+    """A report's per-cluster counts and histograms, read off the rows of
+    the cluster-by-state contingency table."""
+
     def test_even_split(self):
-        hists = cluster_histograms([0, 0, 0, 0], [0, 0, 1, 1], K=1, T=2)
-        np.testing.assert_allclose(hists[0].h, [0.5, 0.5])
-        assert hists[0].cluster_size == 4
+        (cluster,) = per_cluster([0, 0, 0, 0], [0, 0, 1, 1], K=1, T=2)
+        assert cluster["histogram"] == [0.5, 0.5]
+        assert cluster["size"] == 4 and cluster["counts"] == [2, 2]
 
     def test_monochromatic(self):
-        hists = cluster_histograms([0, 0, 0], [1, 1, 1], K=1, T=3)
-        np.testing.assert_allclose(hists[0].h, [0.0, 1.0, 0.0])
+        (cluster,) = per_cluster([0, 0, 0], [1, 1, 1], K=1, T=3)
+        assert cluster["histogram"] == [0.0, 1.0, 0.0]
 
     def test_two_cluster_hand_count(self):
-        hists = cluster_histograms([0, 0, 1], [0, 1, 1], K=2, T=2)
-        np.testing.assert_allclose(hists[0].h, [0.5, 0.5])
-        np.testing.assert_allclose(hists[1].h, [0.0, 1.0])
+        clusters = per_cluster([0, 0, 1], [0, 1, 1], K=2, T=2)
+        assert [c["histogram"] for c in clusters] == [[0.5, 0.5], [0.0, 1.0]]
+        np.testing.assert_array_equal(contingency([0, 0, 1], [0, 1, 1], 2, 2),
+                                      [[1, 1], [0, 1]])
 
     def test_empty_cluster_flagged(self):
-        hists = cluster_histograms([0, 0], [0, 1], K=2, T=2)
-        assert hists[1].empty
-        assert hists[1].counts.sum() == 0
+        clusters = per_cluster([0, 0], [0, 1], K=2, T=2)
+        assert clusters[1] == {"cluster": 1, "size": 0, "counts": [0, 0]}
 
     @pytest.mark.parametrize("assignments, protected, message", [
         ([0, 1, 5], [0, 1, 1], r"row labels must lie in 0\.\.1, got 0\.\.5"),
@@ -50,7 +57,7 @@ class TestClusterHistograms:
     ])
     def test_labels_outside_k_or_t_rejected(self, assignments, protected, message):
         with pytest.raises(ValueError, match=message):
-            cluster_histograms(assignments, protected, K=2, T=2)
+            contingency(assignments, protected, 2, 2)
         with pytest.raises(ValueError, match=message):
             report_from_assignments(assignments, protected, T=2, K=2)
 
@@ -331,12 +338,16 @@ class TestAgainstSeparateTables:
 
         pred, protected, truth = labels(K), labels(T), labels(L)
 
-        for k, hist in enumerate(cluster_histograms(pred, protected, K, T)):
+        clusters = per_cluster(pred, protected, K, T)
+        for k, counts in enumerate(contingency(pred, protected, K, T)):
             members = protected[pred == k]
             expected = np.bincount(members, minlength=T)
-            assert hist.counts.dtype == expected.dtype
-            assert hist.counts.tobytes() == expected.tobytes()
-            assert hist.cluster_size == members.size
+            assert counts.dtype == expected.dtype
+            assert counts.tobytes() == expected.tobytes()
+            assert clusters[k]["counts"] == expected.tolist()
+            assert clusters[k]["size"] == members.size
+            if members.size:
+                assert clusters[k]["histogram"] == (expected / members.size).tolist()
 
         n_pred = pred.max() + 1
         side = max(n_pred, truth.max() + 1)

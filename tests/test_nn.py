@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairclust import nn
-from fairclust.autoencoder import encode, init_params
+from fairclust.autoencoder import AeConfig, encode, init_params
+from fairclust.data import SynthSpec
+from fairclust.model import TrainConfig
 from fairclust.nn import (
     APPLY_ROWS,
     AffineLayer,
@@ -290,6 +293,41 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="layout"):
             sgd_step(params, grads, params.zeros_like(), 0.1)
 
+    def test_mismatched_velocity_layout_rejected_before_any_write(self):
+        # 40,000 parameters and a 35,000-value velocity: left to numpy, the
+        # broadcast would fail only after the first SGD_BLOCK were written
+        params = ParamSet({"w": np.ones((200, 200))})
+        grads, velocity = params.copy(), ParamSet({"w": np.zeros((175, 200))})
+        with pytest.raises(ValueError, match="^velocity layout does not match the parameters$"):
+            sgd_step(params, grads, velocity, 0.1)
+        assert np.all(params.buffer == 1.0) and np.all(velocity.buffer == 0.0)
+        assert np.all(grads.buffer == 1.0)  # not clipped either
+
+    def test_finite_steps_run_no_element_wise_isfinite(self, monkeypatch):
+        # the clip's flat dot proves a finite gradient finite, so neither a
+        # step that cannot clip nor one that clips scans the buffer; only a
+        # non-finite dot does, once
+        isfinite, scanned = np.isfinite, []
+
+        def counting_isfinite(x, *args, **kwargs):
+            if isinstance(x, np.ndarray):
+                scanned.append(x.size)
+            return isfinite(x, *args, **kwargs)
+
+        params = ParamSet({"v": np.zeros((3, 4)), "w": np.zeros((1, 5))})
+        monkeypatch.setattr(nn, "SGD_BLOCK", 4)
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        for value, clips in ((1e-3, False), (30.0, True)):  # global norm 0.004, 124
+            grads = params.copy()
+            grads.buffer[:] = value
+            sgd_step(params, grads, params.zeros_like(), 0.1)
+            assert (grads.buffer[0] < value) == clips
+        assert scanned == []
+        grads.buffer[-1] = np.inf
+        with pytest.raises(RuntimeError, match="non-finite gradient for entry 'w'"):
+            sgd_step(params, grads, params.zeros_like(), 0.1)
+        assert scanned == [params.n_params]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_in_a_later_block_writes_nothing(self, monkeypatch, bad):
         monkeypatch.setattr(nn, "SGD_BLOCK", 2)
@@ -329,7 +367,7 @@ class TestSgdStep:
                 tracemalloc.stop()
 
         # 1M parameters, 8 MB per float64 copy; with clipping off, the
-        # update's one temporary is a block of lr * v and its finiteness mask
+        # update's one temporary is a block of lr * v
         params = ParamSet({"w": np.zeros((1000, 1000))})
         grads, velocity = params.copy(), params.zeros_like()
         grads.buffer[:] = 1.0
@@ -443,6 +481,22 @@ class TestSgdStep:
         # 3 batches, each with its output, tape, a step of (input, output)
         # per layer and a gradient set with its buffer
         assert dead_at_loss_pass == [[True] * 3 * (2 + 2 * depth + 2)]
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("make", [
+        lambda: AeConfig(dims=(4, 2), lr_pretrain=20, dropout=0),
+        lambda: TrainConfig(K=2, gamma=1, beta=1000, epsilon=1, dof=1, lr=1,
+                            convergence_tol=0, recon_weight=1),
+        lambda: SynthSpec(n_points=10, dims=2, n_blobs=2, T=2, correlation=1, blob_spread=1),
+    ])
+    def test_float_fields_hold_floats(self, make):
+        # an int given to a float field is stored as a float, so it logs
+        # and serializes as one; int fields keep their ints
+        config = make()
+        for f in fields(config):
+            value = getattr(config, f.name)
+            assert type(value) is {"float": float, "int": int}.get(f.type, type(value)), f.name
 
 
 class TestFiniteDiffCheck:
