@@ -2,8 +2,9 @@
 
 Drives the `fairclust` CLI end to end inside a temporary directory:
 generate data, hold out a test split, pretrain, train over several seeds,
-evaluate out of sample, and sweep the fairness weight. Every artifact is
-a CSV or JSON file; rerunning the script reproduces them byte for byte.
+evaluate out of sample, and sweep the fairness weight. Every artifact but
+the checkpoints (`ae.ckpt`, `model.ckpt`) is a CSV or JSON file; rerunning
+the script reproduces them all byte for byte.
 """
 
 import json
@@ -41,18 +42,18 @@ run("pretrain", "--data", root / "data" / "train.csv", "--normalize", "none",
 
 # 3. joint fair training over three seeds
 run("train", "--data", root / "data" / "train.csv", "--normalize", "none",
-    "--pretrain", root / "ae" / "ae.json", "--k", 4, "--gamma", 10,
+    "--pretrain", root / "ae" / "ae.ckpt", "--k", 4, "--gamma", 10,
     "--recon-weight", 0.1, "--max-epochs", 60, "--seeds", "1,2,3",
     "--out", root / "run")
 
 # 4. evaluate the first seed on the held-out rows
-run("eval", "--model", root / "run" / "seed_1" / "model.json",
+run("eval", "--model", root / "run" / "seed_1" / "model.ckpt",
     "--data", root / "data" / "test.csv", "--normalize", "none",
     "--dump-latent", "true", "--out", root / "eval")
 
 # 5. sweep the fairness weight, reusing the same checkpoint
 run("sweep", "--data", root / "data" / "train.csv", "--normalize", "none",
-    "--pretrain", root / "ae" / "ae.json", "--k", 4,
+    "--pretrain", root / "ae" / "ae.ckpt", "--k", 4,
     "--gamma-list", "0.01,1,100", "--recon-weight", 0.1,
     "--max-epochs", 60, "--seeds", "1,2,3", "--out", root / "sweep")
 

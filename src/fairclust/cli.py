@@ -35,6 +35,11 @@ from .nn import load_params, save_params
 
 SCHEMA_VERSION = 1
 
+# Checkpoint file names under --out. --pretrain and --model take any path:
+# a checkpoint's reader is chosen by its content.
+AE_CHECKPOINT = "ae.ckpt"
+MODEL_CHECKPOINT = "model.ckpt"
+
 
 class CliError(Exception):
     """Usage error; exits with status 1."""
@@ -300,7 +305,7 @@ def _autoencoder(ds, ae, out):
     if not isinstance(ae, autoencoder.AeConfig):
         return ae, []
     params, log = autoencoder.pretrain(ds.features, ae)
-    ckpt = out / "ae.json"
+    ckpt = out / AE_CHECKPOINT
     save_params(params, ckpt)
     log_path = out / "pretrain_log.jsonl"
     _write_jsonl(log, log_path)
@@ -314,7 +319,7 @@ def cmd_pretrain(opts):
     out.mkdir(parents=True, exist_ok=True)
     _, artifacts = _autoencoder(ds, cfg, out)
     _write_manifest(out, "pretrain", artifacts)
-    print(f"wrote {out / 'ae.json'}")
+    print(f"wrote {out / AE_CHECKPOINT}")
     return 0
 
 
@@ -327,7 +332,7 @@ def _run_one_seed(ds, ae_params, cfg, out):
     seed_dir = out / f"seed_{cfg.seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     trained = model.train(ds, ae_params, cfg)
-    model.save_model(trained, seed_dir / "model.json")
+    model.save_model(trained, seed_dir / MODEL_CHECKPOINT)
     _write_jsonl(trained.history, seed_dir / "history.jsonl")
     rep = metrics.report(trained, ds)
     (seed_dir / "report.json").write_text(rep.to_json())

@@ -12,10 +12,8 @@ so gamma keeps its meaning across batch sizes and cluster counts.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import rel_entr
@@ -28,20 +26,19 @@ from .nn import (
     Rng,
     backward,
     forward,
-    pack_array,
-    read_json,
+    read_checkpoint,
     require_fields,
     require_finite,
     sgd_step,
     squared_error,
     squared_error_grad,
     unpack_array,
+    write_checkpoint,
 )
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "fairclust-model"
-MODEL_VERSION = 2
 CENTROIDS = "centroids"
 
 # The combined objective sums a per-sample clustering KL and a fairness KL
@@ -84,8 +81,10 @@ class TrainConfig:
             raise ValueError("dof must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.batch < 1 or self.max_epochs < 0:
-            raise ValueError("batch and max_epochs must be positive")
+        if self.batch < 1:
+            raise ValueError("batch must be positive")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be non-negative")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be non-negative")
         if self.recon_weight < 0:
@@ -377,23 +376,18 @@ def predict(model, X):
 
 
 def save_model(model, path):
-    """Write a version 2 model checkpoint: the network as a version 2
-    parameter payload, the centroids and fairoids as `pack_array` records,
-    and the config and history as plain JSON."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "network": model.params.to_payload(),
-        "centroids": pack_array(model.centroids),
-        "fairoids": pack_array(model.fairoids),
-        "config": asdict(model.config),
-        "history": model.history,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    """Write a version 3 model checkpoint, `format` fairclust-model: the
+    network's layer records, the config and the history in the header,
+    and the network's `buffer`, the `centroids` and the `fairoids` as raw
+    arrays."""
+    header, arrays = model.params.to_payload()
+    write_checkpoint(path, {**header, "format": MODEL_FORMAT, "config": asdict(model.config),
+                            "history": model.history},
+                     {**arrays, "centroids": model.centroids, "fairoids": model.fairoids})
 
 
-# Model format version -> reader of its centroids and fairoids: version 1
-# stored them as nested JSON number lists.
+# JSON model format version -> reader of its centroids and fairoids:
+# version 1 stored them as nested JSON number lists.
 _MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_array}
 
 # Fields that stored configs may hold but TrainConfig no longer has; a load
@@ -402,26 +396,32 @@ RETIRED_CONFIG_FIELDS = ("clip_norm",)
 
 
 def load_model(path):
-    """Read a version 1 or version 2 model checkpoint; the config's retired
+    """Read a model checkpoint of version 1, 2 or 3; the config's retired
     fields are dropped. A missing field, a network that does not load, a
     config that makes no TrainConfig, or centroids (K rows) or fairoids that
     are not finite 2-d arrays as wide as the last encoder layer's output, is
     a ValueError naming the path and the field."""
-    payload = read_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a fairclust model checkpoint")
-    read = _MATRIX_READERS.get(payload.get("version"))
-    if read is None:
-        raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-    require_fields(payload, ("config", "network", "centroids", "fairoids", "history"),
-                   f"{path}: ")
+    payload, arrays = read_checkpoint(path, MODEL_FORMAT)
+    if arrays is None:
+        if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+            raise ValueError(f"{path}: not a fairclust model checkpoint")
+        read = _MATRIX_READERS.get(payload.get("version"))
+        if read is None:
+            raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
+        require_fields(payload, ("config", "network", "centroids", "fairoids", "history"),
+                       f"{path}: ")
+        network, matrix = (payload["network"],), lambda name: read(payload[name])
+    else:
+        require_fields(payload, ("config", "layers", "history"), f"{path}: ")
+        require_fields(arrays, ("buffer", "centroids", "fairoids"), f"{path}: arrays: ")
+        network, matrix = (payload, arrays), arrays.get
     try:
         config = TrainConfig(**{name: value for name, value in {**payload["config"]}.items()
                                 if name not in RETIRED_CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: config: {exc}") from None
     try:
-        params = ParamSet.from_payload(payload["network"])
+        params = ParamSet.from_payload(*network)
     except ValueError as exc:
         raise ValueError(f"{path}: network: {exc}") from None
     encoder = params.layers("enc")
@@ -430,7 +430,7 @@ def load_model(path):
     matrices = {}
     for name, rows in (("centroids", config.K), ("fairoids", None)):
         try:
-            matrices[name] = a = read(payload[name])
+            matrices[name] = a = matrix(name)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {name}: {exc}") from None
         if a.ndim != 2 or not np.all(np.isfinite(a)):

@@ -18,11 +18,13 @@ non-finite dot scans the buffer; only a step that may clip sums the norm
 in entry order. `squared_error` squares its residual in place, and
 `residual_squared_error` lets a caller hand over a residual it owns.
 
-Checkpoints are JSON. Format version 2 stores each float array as a
-`pack_array` record: base64 of its little-endian float64 bytes with its
-dtype and shape, so a round trip is exact and a load decodes the text, in
-slices, straight into the array. Version 1 files (JSON number lists) are
-still read; only version 2 is written.
+Checkpoints are version 3 files (`write_checkpoint`, `read_checkpoint`):
+an 8-byte magic, the header's length, a JSON header that gives each
+float64 array's shape and offset, then the arrays' raw little-endian
+bytes, which a load reads straight into the arrays it returns. So a round
+trip is exact, and a load makes no text or bytes copy of the values. JSON
+checkpoints are still read: version 1 (JSON number lists) and version 2
+(base64 `unpack_array` records). Only version 3 is written.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import base64
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -39,8 +42,10 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu")
 
 PARAMS_FORMAT = "fairclust-params"
-PARAMS_VERSION = 2
 ARRAY_DTYPE = "<f8"
+# The first bytes of a version 3 checkpoint: no text file starts with 0x89.
+MAGIC = b"\x89FCLUST\n"
+CHECKPOINT_VERSION = 3
 
 # Momentum and global gradient-norm bound of `sgd_step`, in both training loops.
 MOMENTUM = 0.9
@@ -52,8 +57,9 @@ APPLY_ROWS = 4096
 
 # Values per `sgd_step` block: its one temporary, lr * v, stays at 256 KB.
 SGD_BLOCK = 32768
-# Base64 characters per `unpack_array` slice, a multiple of 4. A slice in
-# flight holds 2.75 times this: its text, its ASCII bytes and its bytes.
+# Base64 characters per slice of `unpack_array`, the version 2 reader, a
+# multiple of 4. A slice in flight holds 2.75 times this: its text, its
+# ASCII bytes and its bytes.
 DECODE_CHARS = 1 << 18
 
 
@@ -218,56 +224,82 @@ class ParamSet:
         return self._like(vec)
 
     def to_payload(self):
-        """Version 2 checkpoint payload: the layout, then the whole buffer as
-        one `pack_array` record."""
+        """(header, arrays) of the set's version 3 checkpoint: the layer
+        records, then the whole buffer as the one array `buffer`."""
         if any(not isinstance(l, AffineLayer) for l in self._views.values()):
             raise ValueError("checkpoints hold layers only, not bare matrix entries")
-        return {
-            "format": PARAMS_FORMAT,
-            "version": PARAMS_VERSION,
-            "layers": [{"name": name, "activation": l.activation, "shape": [l.n_in, l.n_out]}
-                       for name, l in self._views.items()],
-            "buffer": pack_array(self.buffer),
-        }
+        layers = [{"name": name, "activation": l.activation, "shape": [l.n_in, l.n_out]}
+                  for name, l in self._views.items()]
+        return {"format": PARAMS_FORMAT, "layers": layers}, {"buffer": self.buffer}
 
     @classmethod
-    def from_payload(cls, payload):
-        """Rebuilds the layout from the recorded shapes and lets the reader
-        for the payload's version fill one new buffer, which the set owns.
-        Each layer record needs a name no earlier record uses and a shape
-        of two positive ints; a record that breaks this, or lacks a field,
-        is a ValueError naming `layers[i]` and the field."""
-        if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
-            raise ValueError("not a fairclust parameter checkpoint")
-        read = _PARAMS_READERS.get(payload.get("version"))
-        if read is None:
-            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+    def from_payload(cls, payload, arrays=None):
+        """The set of a checkpoint: a JSON payload (version 1 or 2), whose
+        reader fills one new buffer, or a version 3 header with the arrays
+        read after it, whose `buffer` the set takes as it is. Either way
+        the set owns its buffer. The layout comes from `_layer_layout`; a
+        buffer of another size is a ValueError, and so is one holding a nan
+        or inf, which names the first entry that holds one."""
+        if arrays is None:
+            if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
+                raise ValueError("not a fairclust parameter checkpoint")
+            read = _PARAMS_READERS.get(payload.get("version"))
+            if read is None:
+                raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        else:
+            read = lambda payload, layout, size: _stored_buffer(arrays, size)
         require_fields(payload, ("layers",))
-        if not isinstance(payload["layers"], list):
-            raise ValueError(f"layers: must be a list, got {payload['layers']!r}")
-        layout, offset = {}, 0
-        for i, rec in enumerate(payload["layers"]):
-            where = f"layers[{i}]: "
-            if not isinstance(rec, dict):
-                raise ValueError(f"{where}must be an object, got {rec!r}")
-            require_fields(rec, ("name", "shape", "activation"), where)
-            name, shape, activation = rec["name"], rec["shape"], rec["activation"]
-            if not isinstance(name, str):
-                raise ValueError(f"{where}name: must be a string, got {name!r}")
-            if name in layout:
-                raise ValueError(f"{where}name: {name!r} is used by an earlier record")
-            if not (isinstance(shape, list) and len(shape) == 2
-                    and all(type(n) is int and n > 0 for n in shape)):
-                raise ValueError(f"{where}shape: must be two positive ints, got {shape!r}")
-            if activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {activation!r}")
-            n_in, n_out = shape
-            layout[name] = (offset, (n_in, n_out), activation)
-            offset += n_in * n_out + n_out
-        out = cls.__new__(cls)._attach(layout, read(payload, layout, offset))
-        if not np.all(np.isfinite(out.buffer)):
-            raise ValueError("layer parameters must be finite")
+        layout, size = _layer_layout(payload["layers"])
+        out = cls.__new__(cls)._attach(layout, read(payload, layout, size))
+        # min and max carry any nan and make no buffer-sized temporary
+        if out.buffer.size and not (math.isfinite(out.buffer.min())
+                                    and math.isfinite(out.buffer.max())):
+            first = int(np.argmin(np.isfinite(out.buffer)))
+            raise ValueError(f"{out._entry_at(first)}: values must be finite")
         return out
+
+    def _entry_at(self, index):
+        """Name of the entry that holds buffer[index]."""
+        return [n for n, (offset, _, _) in self._layout.items() if offset <= index][-1]
+
+
+def _layer_layout(records):
+    """(layout, buffer size) of a checkpoint's layer records, for every
+    version. Each record needs a name no earlier record uses, a shape of
+    two positive ints and a known activation; a record that breaks this,
+    or lacks a field, is a ValueError naming `layers[i]` and the field."""
+    if not isinstance(records, list):
+        raise ValueError(f"layers: must be a list, got {records!r}")
+    layout, offset = {}, 0
+    for i, rec in enumerate(records):
+        where = f"layers[{i}]: "
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where}must be an object, got {rec!r}")
+        require_fields(rec, ("name", "shape", "activation"), where)
+        name, shape, activation = rec["name"], rec["shape"], rec["activation"]
+        if not isinstance(name, str):
+            raise ValueError(f"{where}name: must be a string, got {name!r}")
+        if name in layout:
+            raise ValueError(f"{where}name: {name!r} is used by an earlier record")
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n > 0 for n in shape)):
+            raise ValueError(f"{where}shape: must be two positive ints, got {shape!r}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"{where}activation: unknown activation {activation!r}")
+        n_in, n_out = shape
+        layout[name] = (offset, (n_in, n_out), activation)
+        offset += n_in * n_out + n_out
+    return layout, offset
+
+
+def _stored_buffer(arrays, size):
+    """The `buffer` array of a version 3 checkpoint, which its layers say
+    holds size values."""
+    require_fields(arrays, ("buffer",), "arrays: ")
+    if arrays["buffer"].shape != (size,):
+        raise ValueError(f"arrays: buffer: shape {list(arrays['buffer'].shape)}, "
+                         f"but the layers need [{size}]")
+    return arrays["buffer"]
 
 
 def _read_params_v1(payload, layout, size):
@@ -286,26 +318,20 @@ def _read_params_v1(payload, layout, size):
     return buffer
 
 
-# Parameter format version -> reader of the buffer: version 2 stores it as
-# one `pack_array` record.
+# JSON parameter format version -> reader of the buffer: version 2 stores
+# it as one `unpack_array` record.
 _PARAMS_READERS = {1: _read_params_v1,
                    2: lambda payload, layout, size: unpack_array(payload.get("buffer"), (size,))}
 
 
-def pack_array(a):
-    """JSON record of a float array: base64 of its little-endian float64
-    bytes, with dtype and shape. `unpack_array` restores it bit for bit."""
-    a = np.ascontiguousarray(a, dtype=ARRAY_DTYPE)
-    return {"dtype": ARRAY_DTYPE, "shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
 def unpack_array(record, shape=None):
-    """The float64 array of a `pack_array` record, decoded in slices into
-    the one new writable array it returns, which the caller owns. shape,
-    when given, is the one the caller expects. The record is checked
-    before any decode, so a dtype, shape or data that does not hold up is
-    a ValueError naming what is wrong; so is a slice the decoder rejects."""
+    """The float64 array of a version 2 packed array record, `{dtype,
+    shape, data}` with data the base64 of its little-endian float64
+    bytes, decoded in slices into the one new writable array it returns,
+    which the caller owns. shape, when given, is the one the caller
+    expects. The record is checked before any decode, so a dtype, shape or
+    data that does not hold up is a ValueError naming what is wrong; so is
+    a slice the decoder rejects."""
     if not isinstance(record, dict):
         raise ValueError("expected a packed array record")
     if record.get("dtype") != ARRAY_DTYPE:
@@ -348,17 +374,132 @@ def _entry_parts(value):
     return matrix, None, None
 
 
+def write_checkpoint(path, header, arrays):
+    """Write a version 3 checkpoint: MAGIC, the header's length as 8
+    little-endian bytes, then header, a dict of JSON fields with
+    `format`, as a JSON object to which `version` and `arrays` are added,
+    padded with spaces to a multiple of 8 bytes. Then each of the named
+    float64 arrays, in order and back to back, as its raw little-endian
+    bytes, written from its own memory. `arrays` maps each name to
+    `{dtype, shape, offset}`, offset counting from the end of the header,
+    so every array starts at a multiple of 8 bytes."""
+    arrays = {name: np.ascontiguousarray(a, dtype=ARRAY_DTYPE) for name, a in arrays.items()}
+    records, end = {}, 0
+    for name, a in arrays.items():
+        records[name] = {"dtype": ARRAY_DTYPE, "shape": list(a.shape), "offset": end}
+        end += a.nbytes
+    text = json.dumps({**header, "version": CHECKPOINT_VERSION, "arrays": records},
+                      sort_keys=True).encode()
+    text += b" " * (-len(text) % 8)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + len(text).to_bytes(8, "little") + text)
+        for a in arrays.values():
+            fh.write(_bytes_of(a))
+
+
+def read_checkpoint(path, fmt):
+    """(header, arrays) of the checkpoint at path, read by the version its
+    first bytes show. A file that starts with MAGIC is version 3: its
+    header must be a JSON object of format fmt, and each of its arrays is
+    read straight into the new array that holds it. A file that starts
+    with `{` is JSON, version 1 or 2, and gives (payload, None): its
+    arrays are in the payload. Anything else, or a version 3 file that
+    does not hold up, is a ValueError that starts with the path; a fault
+    of a version 3 file names the field. The file is closed on every
+    path."""
+    with open(path, "rb") as fh:
+        lead = fh.read(len(MAGIC))
+        if lead == MAGIC:
+            try:
+                return _read_v3(fh, fmt)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    if lead.startswith(b"{"):
+        return read_json(path), None
+    raise ValueError(f"{path}: not a fairclust checkpoint")
+
+
+def _read_v3(fh, fmt):
+    """read_checkpoint of a version 3 file, positioned after MAGIC. Every
+    record is checked against the file's size before any array is made."""
+    size = os.fstat(fh.fileno()).st_size
+    length = int.from_bytes(fh.read(8), "little")
+    start = len(MAGIC) + 8 + length
+    if start > size:
+        raise ValueError(f"header length {length} runs past the end of the file "
+                         f"({size} bytes)")
+    try:
+        header = json.loads(fh.read(length).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"header: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"header: not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"header: must be a JSON object, got {type(header).__name__}")
+    if header.get("format") != fmt:
+        raise ValueError(f"format: expected {fmt!r}, got {header.get('format')!r}")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"version: expected {CHECKPOINT_VERSION} after the magic, "
+                         f"got {header.get('version')!r}")
+    require_fields(header, ("arrays",))
+    if not isinstance(header["arrays"], dict):
+        raise ValueError(f"arrays: must be an object, got {header['arrays']!r}")
+    spans = []
+    for name, rec in header["arrays"].items():
+        where = f"arrays: {name}: "
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where}must be an object, got {rec!r}")
+        require_fields(rec, ("dtype", "shape", "offset"), where)
+        shape, offset = rec["shape"], rec["offset"]
+        if rec["dtype"] != ARRAY_DTYPE:
+            raise ValueError(f"{where}dtype: must be {ARRAY_DTYPE!r}, got {rec['dtype']!r}")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"{where}shape: must list non-negative ints, got {shape!r}")
+        if type(offset) is not int:
+            raise ValueError(f"{where}offset: must be an int, got {offset!r}")
+        if offset < 0:
+            raise ValueError(f"{where}offset: {offset} overlaps the header")
+        if (start + offset) % 8:
+            raise ValueError(f"{where}offset: file byte {start + offset} is not a multiple of 8")
+        end = offset + 8 * math.prod(shape)
+        if start + end > size:
+            raise ValueError(f"{where}runs past the end of the file: it ends at byte "
+                             f"{start + end}, the file has {size}")
+        spans.append((offset, end, name))
+    spans.sort()
+    for (_, prev_end, prev), (offset, _, name) in zip(spans, spans[1:]):
+        if offset < prev_end:
+            raise ValueError(f"arrays: {name}: offset {offset} overlaps {prev}")
+    last = start + (spans[-1][1] if spans else 0)
+    if last != size:
+        raise ValueError(f"the file has {size - last} bytes after the last array")
+    arrays = {}
+    for offset, end, name in spans:
+        a = arrays[name] = np.empty(header["arrays"][name]["shape"], dtype=ARRAY_DTYPE)
+        fh.seek(start + offset)
+        got = fh.readinto(_bytes_of(a))
+        if got != end - offset:
+            raise ValueError(f"arrays: {name}: read {got} of {end - offset} bytes")
+    return header, arrays
+
+
+def _bytes_of(a):
+    """The bytes of the contiguous array a, as a view (empty arrays too)."""
+    return memoryview(a.reshape(-1).view(np.uint8))
+
+
 def save_params(params, path):
-    """Write params as a version 2 parameter checkpoint."""
-    Path(path).write_text(json.dumps(params.to_payload()))
+    """Write params as a version 3 parameter checkpoint, `format`
+    fairclust-params: its layer records and its buffer."""
+    write_checkpoint(path, *params.to_payload())
 
 
 def load_params(path):
-    """Read a version 1 or version 2 parameter checkpoint; a payload that
-    does not hold up is a ValueError naming the path."""
-    payload = read_json(path)
+    """Read a parameter checkpoint of version 1, 2 or 3; one that does not
+    hold up is a ValueError naming the path."""
+    payload, arrays = read_checkpoint(path, PARAMS_FORMAT)
     try:
-        return ParamSet.from_payload(payload)
+        return ParamSet.from_payload(payload, arrays)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -512,8 +653,7 @@ def clip_gradients(grads):
     if not math.isfinite(dot):
         first = int(np.argmin(np.isfinite(grads.buffer)))
         if not math.isfinite(grads.buffer[first]):
-            name = [n for n, (offset, _, _) in grads._layout.items() if offset <= first][-1]
-            raise RuntimeError(f"non-finite gradient for entry {name!r}")
+            raise RuntimeError(f"non-finite gradient for entry {grads._entry_at(first)!r}")
     total = np.sqrt(sum(_squared_norm(g) for _, g in grads.items()))
     if np.isfinite(total) and total > CLIP_NORM:
         grads.buffer *= CLIP_NORM / total

@@ -77,7 +77,7 @@ def make_dataset(root, spec):
 def pretrain_shared(root, csv_path):
     out = root / "ae"
     run_cli("pretrain", "--data", csv_path, *AE_ARGS, "--out", out)
-    return out / "ae.json"
+    return out / "ae.ckpt"
 
 
 @pytest.fixture(scope="session")

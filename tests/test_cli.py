@@ -13,7 +13,7 @@ from fairclust.cli import (AE_OPTS, FIELD_OF, SYNTH_OPTS, TRAIN_OPTS, _config, _
                            build_parser, main, parse_config_file, resolve)
 from fairclust.data import SynthSpec, save_csv, synth_blobs
 from fairclust.model import TrainConfig
-from fairclust.nn import Rng
+from fairclust.nn import Rng, read_checkpoint
 
 
 def run_cli(*args):
@@ -98,7 +98,7 @@ class TestPretrain:
                        "--layerwise-epochs", 2, "--global-epochs", 3,
                        "--ae-batch", 128, "--out", tmp_path)
         assert code == 0
-        assert (tmp_path / "ae.json").exists()
+        assert (tmp_path / "ae.ckpt").exists()
         lines = [json.loads(l) for l in
                  (tmp_path / "pretrain_log.jsonl").read_text().splitlines()]
         layerwise = [l for l in lines if l["stage"] == "layerwise"]
@@ -117,7 +117,7 @@ class TestPretrain:
                        "--out", pre)
         assert code == 0
         code = run_cli("train", "--data", synth_dir / "data.csv",
-                       "--normalize", "none", "--pretrain", pre / "ae.json",
+                       "--normalize", "none", "--pretrain", pre / "ae.ckpt",
                        "--k", 2, "--max-epochs", 4, "--batch", 128,
                        "--seeds", "1", "--out", tmp_path / "run")
         assert code == 0
@@ -170,16 +170,16 @@ class TestTrain:
         assert run_cli("pretrain", "--data", synth_dir / "data.csv",
                        "--normalize", "none", "--hidden", "8", "--latent", 2,
                        "--layerwise-epochs", 2, "--global-epochs", 2, "--out", pre) == 0
-        ae_bytes = (pre / "ae.json").read_bytes()
+        ae_bytes = (pre / "ae.ckpt").read_bytes()
         for seeds in ("1,2", "2"):
             assert run_cli("train", "--data", synth_dir / "data.csv",
-                           "--normalize", "none", "--pretrain", pre / "ae.json",
+                           "--normalize", "none", "--pretrain", pre / "ae.ckpt",
                            "--k", 2, "--max-epochs", 4, "--batch", 128,
                            "--recon-weight", 0.5, "--seeds", seeds,
                            "--out", tmp_path / seeds) == 0
-        assert ((tmp_path / "1,2" / "seed_2" / "model.json").read_bytes()
-                == (tmp_path / "2" / "seed_2" / "model.json").read_bytes())
-        assert (pre / "ae.json").read_bytes() == ae_bytes
+        assert ((tmp_path / "1,2" / "seed_2" / "model.ckpt").read_bytes()
+                == (tmp_path / "2" / "seed_2" / "model.ckpt").read_bytes())
+        assert (pre / "ae.ckpt").read_bytes() == ae_bytes
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_seed_records_its_cause(self, synth_dir, tmp_path, monkeypatch, capsys,
@@ -211,7 +211,7 @@ class TestTrain:
     def test_per_seed_artifacts_and_aggregate(self, trained_dir):
         for seed in (1, 2):
             seed_dir = trained_dir / f"seed_{seed}"
-            assert (seed_dir / "model.json").exists()
+            assert (seed_dir / "model.ckpt").exists()
             assert (seed_dir / "history.jsonl").exists()
             assert (seed_dir / "report.json").exists()
         agg = json.loads((trained_dir / "aggregate.json").read_text())
@@ -252,7 +252,7 @@ class TestTrain:
 class TestEval:
     def test_report_schema_and_accuracy(self, synth_dir, trained_dir, tmp_path,
                                         capsys):
-        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.json",
+        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.ckpt",
                        "--data", synth_dir / "data.csv", "--normalize", "none",
                        "--out", tmp_path)
         assert code == 0
@@ -262,7 +262,7 @@ class TestEval:
         assert (tmp_path / "histograms.csv").exists()
 
     def test_latent_dump(self, synth_dir, trained_dir, tmp_path):
-        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.json",
+        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.ckpt",
                        "--data", synth_dir / "data.csv", "--normalize", "none",
                        "--dump-latent", "true", "--out", tmp_path)
         assert code == 0
@@ -276,7 +276,7 @@ class TestEval:
             == [entry["size"] for entry in report["per_cluster"]]
 
     def test_latent_dump_equals_the_per_cell_writer(self, synth_dir, trained_dir, tmp_path):
-        path = trained_dir / "seed_1" / "model.json"
+        path = trained_dir / "seed_1" / "model.ckpt"
         code = run_cli("eval", "--model", path, "--data", synth_dir / "data.csv",
                        "--normalize", "none", "--dump-latent", "true", "--out", tmp_path)
         assert code == 0
@@ -307,7 +307,7 @@ class TestEval:
         for dump in ("false", "true"):
             calls.clear()
             out = tmp_path / dump
-            code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.json",
+            code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.ckpt",
                            "--data", synth_dir / "data.csv", "--normalize", "none",
                            "--dump-latent", dump, "--out", out)
             assert code == 0 and len(calls) == 1
@@ -323,7 +323,7 @@ class TestEval:
         monkeypatch.setattr(data, "load_csv", no_reads)
         monkeypatch.setattr(data, "load_with_manifest", no_reads)
         monkeypatch.setattr(model, "load_model", no_reads)
-        code = run_cli("eval", "--model", tmp_path / "model.json",
+        code = run_cli("eval", "--model", tmp_path / "model.ckpt",
                        "--data", tmp_path / "data.csv", flag, value)
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
@@ -332,7 +332,7 @@ class TestEval:
         other = tmp_path / "other"
         run_cli("synth", "--n", 120, "--dims", 4, "--blobs", 3, "--t", 3,
                 "--corr", 0.8, "--seed", 5, "--out", other)
-        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.json",
+        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.ckpt",
                        "--data", other / "data.csv", "--normalize", "none")
         assert code == 2
         err = capsys.readouterr().err
@@ -342,7 +342,7 @@ class TestEval:
         other = tmp_path / "wide"
         run_cli("synth", "--n", 60, "--dims", 6, "--blobs", 2, "--t", 2,
                 "--corr", 0.8, "--seed", 5, "--out", other)
-        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.json",
+        code = run_cli("eval", "--model", trained_dir / "seed_1" / "model.ckpt",
                        "--data", other / "data.csv", "--normalize", "none")
         assert code == 2
         assert "feature mismatch" in capsys.readouterr().err
@@ -383,7 +383,7 @@ class TestSweep:
         monkeypatch.setattr(data, "load_csv", no_reads)
         monkeypatch.setattr(data, "load_with_manifest", no_reads)
         code = run_cli("sweep", "--data", tmp_path / "data.csv", "--pretrain",
-                       tmp_path / "ae.json", *point_flags, "--out", tmp_path / "w")
+                       tmp_path / "ae.ckpt", *point_flags, "--out", tmp_path / "w")
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "w").exists()
@@ -398,7 +398,7 @@ class TestSweep:
                        "--global-epochs", 2, "--out", tmp_path / "p")
         assert code == 0
         code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
-                       "--pretrain", tmp_path / "p" / "ae.json", "--k-list", "2,3",
+                       "--pretrain", tmp_path / "p" / "ae.ckpt", "--k-list", "2,3",
                        "--batch", 128, "--max-epochs", 2, "--seeds", "1",
                        "--out", tmp_path / "w")
         assert code == 0
@@ -446,9 +446,9 @@ class TestClassDefaults:
                        "--out", ae) == 0
         out = tmp_path / "train"
         assert run_cli("train", "--data", synth_dir / "data.csv", "--k", 2,
-                       "--pretrain", ae / "ae.json", "--out", out) == 0
-        saved = json.loads((out / "seed_0" / "model.json").read_text())
-        assert saved["config"] == asdict(TrainConfig(K=2, seed=0))
+                       "--pretrain", ae / "ae.ckpt", "--out", out) == 0
+        header, _ = read_checkpoint(out / "seed_0" / "model.ckpt", model.MODEL_FORMAT)
+        assert header["config"] == asdict(TrainConfig(K=2, seed=0))
 
     def test_pretrain_config(self, synth_dir, tmp_path, monkeypatch):
         seen = []
@@ -629,7 +629,7 @@ class TestOutOfSample:
                        "--k", 2, "--batch", 128, "--max-epochs", 10,
                        "--seeds", "1", "--out", run) == 0
         capsys.readouterr()
-        assert run_cli("eval", "--model", run / "seed_1" / "model.json",
+        assert run_cli("eval", "--model", run / "seed_1" / "model.ckpt",
                        "--data", test_csv, "--normalize", "none") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["acc"] >= 0.95
@@ -688,8 +688,9 @@ class TestNoOutputOnRefusal:
     def test_json_that_is_not_utf8_names_its_file(self, synth_dir, tmp_path, monkeypatch,
                                                   capsys, command):
         # the --pretrain checkpoint, the --model checkpoint, and the data
-        # manifest: each is read once, and its path leads the message
-        bad = b"\xff{}"
+        # manifest: each is read once, and its path leads the message. A
+        # checkpoint is read as JSON only when it starts with "{".
+        bad = b"\xff{}" if command == "pretrain" else b"{\xff}"
         csv_path = synth_dir / "data.csv"
         if command == "pretrain":
             csv_path = tmp_path / "data.csv"
@@ -702,8 +703,20 @@ class TestNoOutputOnRefusal:
                     if command == "train" else ("eval", "--model", path))
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv, "--data", csv_path) == 2
+        at = 0 if command == "pretrain" else 1
         assert capsys.readouterr().err == (
-            f"error: {path}: not UTF-8: invalid start byte at byte 0\n")
+            f"error: {path}: not UTF-8: invalid start byte at byte {at}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_checkpoint_of_neither_kind_names_its_file(self, synth_dir, tmp_path, monkeypatch,
+                                                       capsys, command):
+        (path := tmp_path / "ckpt").write_bytes(b"\xff{}")
+        argv = (("train", "--k", 2, "--pretrain", path, "--out", "o")
+                if command == "train" else ("eval", "--model", path, "--out", "o"))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--data", synth_dir / "data.csv") == 2
+        assert capsys.readouterr().err == f"error: {path}: not a fairclust checkpoint\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -716,7 +729,7 @@ class TestEnvironment:
                        "--k", 2, "--seeds", "1", "--out", tmp_path)
         assert code == 1
         assert "FAIRCLUST_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "ae.json").exists()
+        assert not (tmp_path / "ae.ckpt").exists()
 
     def test_invalid_thread_env_stops_a_sweep_before_any_work(self, synth_dir, tmp_path,
                                                               monkeypatch, capsys):
@@ -727,7 +740,7 @@ class TestEnvironment:
         assert code == 1
         assert "FAIRCLUST_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
-        assert not (tmp_path / "ae.json").exists()
+        assert not (tmp_path / "ae.ckpt").exists()
 
     def test_console_script_entry_point(self, tmp_path):
         result = subprocess.run(

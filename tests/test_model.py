@@ -52,10 +52,15 @@ class TestTrainConfig:
         ("convergence_tol", -1.0, "convergence_tol must be non-negative"),
         ("recon_weight", -1.0, "recon_weight must be non-negative"),
         ("seed", -1, "seed must be non-negative"),
+        ("batch", 0, "batch must be positive"),
+        ("max_epochs", -1, "max_epochs must be non-negative"),
     ])
     def test_out_of_range_messages(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainConfig(K=2, **{name: value})
+
+    def test_zero_epochs_is_accepted(self):
+        assert TrainConfig(K=2, max_epochs=0).max_epochs == 0
 
 
 class TestTargetProperties:
@@ -615,7 +620,7 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds, model = small_blobs(gamma=1.0, seed=10, max_epochs=4, tol=0.0)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.centroids, model.centroids)
