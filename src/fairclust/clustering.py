@@ -1,11 +1,14 @@
 """Centroid initialization (k-means++ seeding plus Lloyd refinement) and
-optimal cluster-to-label matching for accuracy evaluation.
+optimal cluster-to-label matching for accuracy evaluation. The matching is
+solved here by a shortest-augmenting-path assignment solver, so that no
+fairclust process imports scipy.optimize.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def squared_distances(A, B):
@@ -101,16 +104,82 @@ def contingency(a, b, rows=None, cols=None):
     return np.bincount(a * cols + b, minlength=rows * cols).reshape(rows, cols)
 
 
+def max_assignment(table):
+    """Column assigned to each row of a square table so that the assigned
+    entries have the largest sum.
+
+    Crouse's shortest augmenting path (Crouse, 2016, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4)) on the negated
+    table, as scipy.optimize.linear_sum_assignment runs it, ties included:
+    rows are added in index order; each search scans the remaining columns
+    from a list filled n-1, ..., 0, takes the last unassigned column of
+    least reduced cost (else the first assigned one), and removes it by
+    moving the list's last entry into its slot.
+    """
+    cost = (-np.asarray(table, dtype=float)).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            rows_seen.append(i)
+            lowest, index = math.inf, -1
+            row, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # an unassigned column ends the search, so it wins a tie
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update over the rows and columns the search reached;
+        # rows_seen[0] is cur, which has no column yet
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        # augment: shift each row on the path back to cur one column over
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def hungarian_match(pred, truth):
     """Optimal label mapping over the zero-padded square contingency table.
 
     Returns (mapping from predicted label to matched true label, matched
-    agreement count).
+    agreement count). Among equally good mappings it returns the one
+    scipy.optimize.linear_sum_assignment(table, maximize=True) returns, as
+    max_assignment runs the same algorithm (Crouse, 2016). Empty label
+    arrays are a ValueError.
     """
+    if np.size(pred) == 0 or np.size(truth) == 0:
+        raise ValueError(f"pred and truth must not be empty, got "
+                         f"{np.size(pred)} and {np.size(truth)} labels")
     n_pred = int(np.max(pred)) + 1
     side = max(n_pred, int(np.max(truth)) + 1)
     table = contingency(pred, truth, side, side)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    mapping = {int(r): int(c) for r, c in zip(rows, cols) if r < n_pred}
-    agreement = int(table[rows, cols].sum())
+    cols = max_assignment(table)
+    mapping = {r: c for r, c in enumerate(cols) if r < n_pred}
+    agreement = int(table[np.arange(side), cols].sum())
     return mapping, agreement

@@ -398,9 +398,9 @@ RETIRED_CONFIG_FIELDS = ("clip_norm",)
 def load_model(path):
     """Read a model checkpoint of version 1, 2 or 3; the config's retired
     fields are dropped. A missing field, a network that does not load, a
-    config that makes no TrainConfig, or centroids (K rows) or fairoids that
-    are not finite 2-d arrays as wide as the last encoder layer's output, is
-    a ValueError naming the path and the field."""
+    config that makes no TrainConfig, or centroids (K rows) or fairoids (at
+    least 2 rows) that are not finite 2-d arrays as wide as the last encoder
+    layer's output, is a ValueError naming the path and the field."""
     payload, arrays = read_checkpoint(path, MODEL_FORMAT)
     if arrays is None:
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
@@ -440,4 +440,7 @@ def load_model(path):
                              f"layer has n_out {encoder[-1].n_out}")
         if rows is not None and len(a) != rows:
             raise ValueError(f"{path}: {name}: {len(a)} rows, but config K is {rows}")
+    if len(matrices["fairoids"]) < 2:
+        raise ValueError(f"{path}: fairoids: {len(matrices['fairoids'])} rows, but a model "
+                         f"has at least 2 protected states")
     return TrainedModel(params=params, config=config, history=payload["history"], **matrices)

@@ -551,6 +551,20 @@ class TestModelFields:
         assert not (tmp_path / "eval" / "report.json").exists()
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_version_3_fairoids_with_fewer_than_2_rows(tmp_path, rows, capsys):
+    # the fixture's encoder is 4-6-2, so the rows are as wide as they must be
+    path = model_file(tmp_path, 3, fairoids=np.zeros((rows, 2)))
+    with pytest.raises(ValueError, match=starts_with_path(
+            path, f"fairoids: {rows} rows, but a model has at least 2 protected states$")):
+        model.load_model(path)
+    code = cli.main(["eval", "--model", str(path), "--data", str(V1 / "data.csv"),
+                     "--out", str(tmp_path / "eval")])
+    assert code != 0
+    assert capsys.readouterr().err.startswith(f"error: {path}: fairoids: ")
+    assert not (tmp_path / "eval").exists()
+
+
 def raw_file(path, header, body=b"", length=None):
     """A file of MAGIC, a header length (the header's own unless given),
     the header (JSON of a dict, or bytes as given) padded with spaces to a

@@ -751,6 +751,14 @@ class TestEnvironment:
         assert result.returncode == 0
         assert (tmp_path / "data.csv").exists()
 
+    def test_import_leaves_scipy_optimize_out(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, fairclust, fairclust.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 def other_value(value):
     """A valid setting of a config field that differs from value."""

@@ -2,6 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from fairclust.clustering import (
     contingency,
@@ -9,8 +10,10 @@ from fairclust.clustering import (
     hungarian_match,
     kmeans_pp_init,
     lloyd,
+    max_assignment,
     nearest_assign,
 )
+from fairclust.metrics import acc
 from fairclust.nn import Rng
 
 
@@ -135,6 +138,29 @@ class TestHungarianMatch:
         truth = np.array([0, 0, 1, 1, 1, 1])
         _, agreement = hungarian_match(pred, truth)
         assert agreement == 4
+
+    def test_same_assignment_as_scipy_on_tie_heavy_tables(self):
+        # small entry ranges make many matchings equally good; zeroed last
+        # rows and columns are the padding of a non-square label pair
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            side = int(rng.integers(1, 9))
+            table = rng.integers(0, int(rng.integers(2, 6)), size=(side, side))
+            if rng.random() < 0.3:
+                table[int(rng.integers(1, side + 1)):] = 0
+            if rng.random() < 0.3:
+                table[:, int(rng.integers(1, side + 1)):] = 0
+            rows, cols = linear_sum_assignment(table, maximize=True)
+            assert rows.tolist() == list(range(side))
+            assert max_assignment(table) == cols.tolist(), table
+
+    @pytest.mark.parametrize("match", [hungarian_match, acc])
+    @pytest.mark.parametrize("pred, truth, sizes", [
+        ([], [], "0 and 0"), ([], [0, 1], "0 and 2"), ([1], [], "1 and 0"),
+    ])
+    def test_empty_labels_rejected(self, match, pred, truth, sizes):
+        with pytest.raises(ValueError, match=f"^pred and truth must not be empty, got {sizes} "):
+            match(np.array(pred, dtype=int), np.array(truth, dtype=int))
 
 
 class TestContingency:
