@@ -95,15 +95,12 @@ TRAIN_OPTS = {
     "k": (int, None, "number of clusters"),
     "gamma": (float, None, "fairness weight"),
     "beta": (float, None, "smoothing root for the fairness target"),
-    "epsilon": (float, None, "numerical floor inside the smoothing root"),
-    "dof": (float, None, "Student's-t degrees of freedom"),
     "lr": (float, None, "training learning rate"),
     "batch": (int, None, "training minibatch size"),
     "max_epochs": (int, None, "epoch cap"),
     "convergence_tol": (float, None, "stop when fewer assignments change"),
     "recon_weight": (float, None, "reconstruction term weight"),
     "refresh": (str, None, "fairness-target centroids: incore (live) or streaming (estimated)"),
-    "refresh_interval": (int, None, "epochs between target refreshes (0 freezes)"),
     "seeds": (_int_list, [0], "training seeds"),
 }
 

@@ -88,13 +88,16 @@ def lloyd(Z, init, max_iters=20, tol=1e-4):
 def contingency(a, b, rows=None, cols=None):
     """Count table of two label arrays: entry (i, j) counts the positions
     where a is i and b is j. rows and cols default to the largest label
-    plus one. Arrays that are not 1-d and of equal length, or a label
-    outside 0..rows-1 or 0..cols-1, are a ValueError naming the range."""
+    plus one, so empty arrays need both given. Arrays that are not 1-d and
+    of equal length, or a label outside 0..rows-1 or 0..cols-1, are a
+    ValueError naming the range."""
     a = np.asarray(a, dtype=int)
     b = np.asarray(b, dtype=int)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"label arrays must be 1-d and of equal length, "
                          f"got shapes {a.shape} and {b.shape}")
+    if a.size == 0 and (rows is None or cols is None):
+        raise ValueError("label arrays are empty, so rows and cols must be given")
     rows = int(a.max()) + 1 if rows is None else rows
     cols = int(b.max()) + 1 if cols is None else cols
     for side, labels, size in (("row", a, rows), ("column", b, cols)):

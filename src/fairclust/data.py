@@ -193,9 +193,7 @@ def load_csv(path, schema):
 
     if not raw_prot:
         raise ValueError("CSV contains no data rows")
-    protected, prot_levels = encode_first_appearance(raw_prot)
-    if len(prot_levels) == 1:
-        raise ValueError("T=1: fairness undefined")
+    protected, _ = encode_first_appearance(raw_prot)
 
     blocks, names = [numeric], list(feature_cols)
     for c, cells in zip(categorical_cols, raw_cat):
@@ -264,16 +262,18 @@ def normalize(ds, mode):
         raise ValueError("normalization needs at least 2 rows")
     x = ds.features
     if mode == "minmax":
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        span = hi - lo
-        safe = np.where(span == 0, 1.0, span)
-        out = np.where(span == 0, 0.0, (x - lo) / safe)
+        shift = x.min(axis=0)
+        scale = x.max(axis=0) - shift
     elif mode == "zscore":
-        mean, std = x.mean(axis=0), x.std(axis=0, ddof=1)
-        safe = np.where(std == 0, 1.0, std)
-        out = np.where(std == 0, 0.0, (x - mean) / safe)
+        shift, scale = x.mean(axis=0), x.std(axis=0, ddof=1)
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
+    # one data-sized array, rescaled in place; constant columns are set to
+    # +0.0, as x - min is -0.0 where a column mixes +0.0 and -0.0
+    constant = scale == 0
+    out = x - shift
+    out /= np.where(constant, 1.0, scale)
+    out[:, constant] = 0.0
     return Dataset(out, ds.protected, labels=ds.labels, T=ds.T,
                    feature_names=ds.feature_names)
 

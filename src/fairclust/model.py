@@ -50,21 +50,28 @@ FAIRNESS_NORM_FACTOR = 2.5
 # k-means++ seedings that `init_centroids` refines and picks from.
 CENTROID_SEEDINGS = 10
 
+# Student's-t degrees of freedom of every soft assignment, Q and Phi. DEC
+# (Xie et al., 2016) fixes alpha = 1 in every experiment: an unsupervised
+# task has no labels to tune it against.
+DOF = 1.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one joint training run. The t-kernel's degrees of
+    freedom (DOF), the floor inside Psi's root (smooth_target's default)
+    and the gradient clip (nn.CLIP_NORM) are constants, and the targets
+    refresh at every epoch."""
+
     K: int
     gamma: float = 0.0
     beta: float = 1000.0
-    epsilon: float = 1e-9
-    dof: float = 1.0
     lr: float = 0.01
     batch: int = 256
     max_epochs: int = 100
     convergence_tol: float = 0.001
     recon_weight: float = 0.0
     refresh: str = "incore"
-    refresh_interval: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -75,10 +82,6 @@ class TrainConfig:
             raise ValueError("gamma must be non-negative")
         if self.beta < 2:
             raise ValueError("beta must be at least 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.dof <= 0:
-            raise ValueError("dof must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.batch < 1:
@@ -91,21 +94,16 @@ class TrainConfig:
             raise ValueError("recon_weight must be non-negative")
         if self.refresh not in ("incore", "streaming"):
             raise ValueError("refresh must be 'incore' or 'streaming'")
-        if self.refresh_interval < 0:
-            raise ValueError("refresh_interval must be >= 0 (0 freezes the initial targets)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
-def _t_kernel(d2, dof):
-    return (1.0 + d2 / dof) ** (-(dof + 1.0) / 2.0)
-
-
-def soft_assign(Z, centroids, dof=1.0):
+def soft_assign(Z, centroids, dof=DOF):
     """Row-stochastic Student's-t similarities between points and centroids.
     Also gives Phi (centroids against fairoids), whose row is uniform
-    exactly when its centroid is equidistant from every fairoid."""
-    kernel = _t_kernel(squared_distances(Z, centroids), dof)
+    exactly when its centroid is equidistant from every fairoid. Training
+    uses the default dof, DOF; other values are for study."""
+    kernel = (1.0 + squared_distances(Z, centroids) / dof) ** (-(dof + 1.0) / 2.0)
     return kernel / kernel.sum(axis=1, keepdims=True)
 
 
@@ -169,11 +167,11 @@ def batch_centroids(P, Z):
     return np.linalg.solve(gram + 1e-6 * np.eye(len(gram)), moment), True
 
 
-def _kl_t_grads(target, probs, A, B, dof):
-    """Gradients of kl_loss(target, t-kernel rows between A and B) with
+def _kl_t_grads(target, probs, A, B):
+    """Gradients of kl_loss(target, DOF t-kernel rows between A and B) with
     respect to A and B. Callers apply their own normalization."""
     d2 = squared_distances(A, B)
-    coef = ((dof + 1.0) / dof) * (target - probs) / (1.0 + d2 / dof)
+    coef = ((DOF + 1.0) / DOF) * (target - probs) / (1.0 + d2 / DOF)
     dA = A * coef.sum(axis=1, keepdims=True) - coef @ B
     dB = B * coef.sum(axis=0)[:, None] - coef.T @ A
     return dA, dB
@@ -195,16 +193,16 @@ def fair_objective(params, grads, X, P, Psi, fairoids, cfg):
     K = M.shape[0]
 
     Z, tape = forward(params.layers("enc"), X)
-    Q = soft_assign(Z, M, cfg.dof)
+    Q = soft_assign(Z, M)
     cluster = kl_loss(P, Q) / n
-    Phi = soft_assign(M, fairoids, cfg.dof)
+    Phi = soft_assign(M, fairoids)
     fair_norm = FAIRNESS_NORM_FACTOR * K * fairoids.shape[0]
     fairness = kl_loss(Psi, Phi) / fair_norm
 
-    dZ, dM = _kl_t_grads(P, Q, Z, M, cfg.dof)
+    dZ, dM = _kl_t_grads(P, Q, Z, M)
     dZ /= n
     dM /= n
-    dM_fair, _ = _kl_t_grads(Psi, Phi, M, fairoids, cfg.dof)
+    dM_fair, _ = _kl_t_grads(Psi, Phi, M, fairoids)
     grads[CENTROIDS][...] = dM + (cfg.gamma / fair_norm) * dM_fair
 
     recon = 0.0
@@ -233,8 +231,8 @@ def _refresh_targets(Z, Q, M, protected, T, cfg):
     centroids M: returns (P, fairoids, Phi). Phi's centroids are the live M
     ("incore") or ("streaming") per-batch least-squares solves over slices
     of Z, weighted by per-cluster batch mass so that clusters absent from a
-    batch contribute nothing. Singular batch solves are logged once per
-    refresh, as a count."""
+    batch contribute nothing. Phi's kernel has DOF degrees of freedom.
+    Singular batch solves are logged once per refresh, as a count."""
     P = sharpen_target(Q)
     fairoids = compute_fairoids(Z, protected, T)
     if cfg.refresh == "streaming":
@@ -251,7 +249,7 @@ def _refresh_targets(Z, Q, M, protected, T, cfg):
             log.warning("%d of %d batch centroid systems singular; retried with ridge 1e-6",
                         singular, len(starts))
         M = est / np.maximum(mass, 1e-12)[:, None]
-    return P, fairoids, soft_assign(M, fairoids, cfg.dof)
+    return P, fairoids, soft_assign(M, fairoids)
 
 
 def init_centroids(Z, K, rng):
@@ -284,13 +282,12 @@ def train(ds, ae_params, cfg):
     minibatch sweep ends with one encoding that feeds the next epoch (or,
     after the last one, the returned fairoids). Each epoch first checks
     convergence (fraction of hard assignments changed below
-    convergence_tol) and stops there if converged. Otherwise, every
-    refresh_interval epochs, the fairoids and the targets P and Psi are
-    recomputed from that encoding (interval 0 freezes the initial
-    targets), and then shuffled minibatches of the combined objective are
-    swept. cfg.refresh only chooses the centroids behind Psi: the live ones
-    ("incore") or a minibatch least-squares estimate ("streaming").
-    Fairoids stay constant between refreshes and receive no gradient; the
+    convergence_tol) and stops there if converged. Otherwise the fairoids
+    and the targets P and Psi are recomputed from that encoding, and then
+    shuffled minibatches of the combined objective are swept. cfg.refresh
+    only chooses the centroids behind Psi: the live ones ("incore") or a
+    minibatch least-squares estimate ("streaming"). Fairoids stay
+    constant through an epoch's sweep and receive no gradient; the
     centroids ride in the parameter set and are updated by the same
     optimizer as the network, with one gradient set for every batch. The
     decoder is trained only when recon_weight > 0; otherwise it is
@@ -300,8 +297,6 @@ def train(ds, ae_params, cfg):
     N = len(X)
     if cfg.K > N:
         raise ValueError(f"K={cfg.K} exceeds the number of points {N}")
-    if ds.T < 2:
-        raise ValueError("training requires at least two protected states")
     if not ae_params.layers("enc"):
         raise ValueError("ae_params holds no encoder (enc*) layers")
 
@@ -317,10 +312,9 @@ def train(ds, ae_params, cfg):
 
     shuffle = rng.stream("shuffle")
     history = []
-    prev_hard = None
-    P = Psi = fairoids = last_mean = None
+    prev_hard = last_mean = None
     for epoch in range(cfg.max_epochs):
-        Q = soft_assign(Z, params[CENTROIDS], cfg.dof)
+        Q = soft_assign(Z, params[CENTROIDS])
         hard = Q.argmax(axis=1)
         entry = _epoch_metrics(hard, ds, cfg.K)
         entry["epoch"] = epoch
@@ -331,10 +325,8 @@ def train(ds, ae_params, cfg):
                 history.append(entry)
                 break
         prev_hard = hard
-        if P is None or (cfg.refresh_interval > 0 and epoch % cfg.refresh_interval == 0):
-            P, fairoids, Phi = _refresh_targets(Z, Q, params[CENTROIDS], ds.protected,
-                                                ds.T, cfg)
-            Psi = smooth_target(Phi, cfg.beta, cfg.epsilon)
+        P, fairoids, Phi = _refresh_targets(Z, Q, params[CENTROIDS], ds.protected, ds.T, cfg)
+        Psi = smooth_target(Phi, cfg.beta)
 
         order = shuffle.permutation(N)
         totals = np.zeros(3)
@@ -391,8 +383,10 @@ def save_model(model, path):
 _MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_array}
 
 # Fields that stored configs may hold but TrainConfig no longer has; a load
-# drops them whatever their value. clip_norm is now nn.CLIP_NORM.
-RETIRED_CONFIG_FIELDS = ("clip_norm",)
+# drops them whatever their value. clip_norm is now nn.CLIP_NORM, dof is
+# DOF, epsilon is smooth_target's default floor, and refresh_interval is
+# 1: the targets refresh at every epoch.
+RETIRED_CONFIG_FIELDS = ("clip_norm", "dof", "epsilon", "refresh_interval")
 
 
 def load_model(path):

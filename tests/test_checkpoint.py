@@ -159,7 +159,9 @@ class TestVersion2Files:
         assert bit_equal(trained.params.buffer, unpacked(saved["network"]["buffer"]))
         assert bit_equal(trained.centroids, unpacked(saved["centroids"]))
         assert bit_equal(trained.fairoids, unpacked(saved["fairoids"]))
-        assert dataclasses.asdict(trained.config) == saved["config"]
+        assert dataclasses.asdict(trained.config) == {
+            name: value for name, value in saved["config"].items()
+            if name not in model.RETIRED_CONFIG_FIELDS}
         assert trained.history == saved["history"]
         assert owns_writable(ae.buffer) and owns_writable(trained.params.buffer)
 
@@ -179,26 +181,55 @@ class TestVersion2Files:
         assert trained.params.names() == load_params(V2 / "ae.json").names()
 
 
+def assert_same_model(old, new):
+    assert bit_equal(old.params.buffer, new.params.buffer)
+    assert bit_equal(old.centroids, new.centroids)
+    assert bit_equal(old.fairoids, new.fairoids)
+    assert old.config == new.config and old.history == new.history
+
+
+def eval_report(model_path, out):
+    assert cli.main(["eval", "--model", str(model_path), "--data", str(V1 / "data.csv"),
+                     "--out", str(out)]) == 0
+    return (out / "report.json").read_bytes()
+
+
 class TestRetiredConfigFields:
+    # every checkpoint written while these were training settings records
+    # them: the version 1 fixture all four, the version 2 fixture all but
+    # clip_norm; a load drops them, whatever their value
+    def test_fixtures_hold_every_retired_field(self):
+        v1, v2 = (json.loads((d / "model.json").read_text())["config"] for d in (V1, V2))
+        assert set(model.RETIRED_CONFIG_FIELDS) <= set(v1)
+        assert set(model.RETIRED_CONFIG_FIELDS) - set(v2) == {"clip_norm"}
+
+    @pytest.mark.parametrize("field", model.RETIRED_CONFIG_FIELDS)
     @pytest.mark.parametrize("value", [5.0, 0.0, "any value"])
-    def test_stored_clip_norm_is_dropped(self, tmp_path, value):
-        # every checkpoint written while clip_norm was a training setting
-        # records it (the version 1 fixture too); a load drops it
-        model.save_model(model.load_model(V1 / "model.json"), tmp_path / "model.json")
-        header, _ = read_checkpoint(tmp_path / "model.json", MODEL_FORMAT)
-        assert "clip_norm" not in header["config"]
-        rewrite(tmp_path / "model.json", tmp_path / "old.json", MODEL_FORMAT,
-                config={**header["config"], "clip_norm": value})
-        new, old = (model.load_model(tmp_path / name) for name in ("model.json", "old.json"))
-        assert bit_equal(old.params.buffer, new.params.buffer)
-        assert bit_equal(old.centroids, new.centroids)
-        assert bit_equal(old.fairoids, new.fairoids)
-        assert old.config == new.config and old.history == new.history
-        for name in ("model", "old"):
-            assert cli.main(["eval", "--model", str(tmp_path / f"{name}.json"), "--data",
-                             str(V1 / "data.csv"), "--out", str(tmp_path / name)]) == 0
-        assert ((tmp_path / "old" / "report.json").read_bytes()
-                == (tmp_path / "model" / "report.json").read_bytes())
+    def test_stored_field_is_dropped_in_version_3(self, tmp_path, field, value):
+        model.save_model(model.load_model(V1 / "model.json"), tmp_path / "model.ckpt")
+        header, _ = read_checkpoint(tmp_path / "model.ckpt", MODEL_FORMAT)
+        assert field not in header["config"]
+        rewrite(tmp_path / "model.ckpt", tmp_path / "old.ckpt", MODEL_FORMAT,
+                config={**header["config"], field: value})
+        assert_same_model(*(model.load_model(tmp_path / name)
+                            for name in ("old.ckpt", "model.ckpt")))
+        assert (eval_report(tmp_path / "old.ckpt", tmp_path / "old")
+                == eval_report(tmp_path / "model.ckpt", tmp_path / "model"))
+
+    @pytest.mark.parametrize("fixture", [V1, V2], ids=["version_1", "version_2"])
+    @pytest.mark.parametrize("field", model.RETIRED_CONFIG_FIELDS)
+    @pytest.mark.parametrize("value", [0.0, "any value", None])
+    def test_stored_field_is_dropped_in_json_versions(self, tmp_path, fixture, field, value):
+        # None: the field is left out
+        saved = json.loads((fixture / "model.json").read_text())
+        config = {**saved["config"], field: value}
+        if value is None:
+            del config[field]
+        (tmp_path / "old.json").write_text(json.dumps({**saved, "config": config}))
+        assert_same_model(model.load_model(tmp_path / "old.json"),
+                          model.load_model(fixture / "model.json"))
+        assert (eval_report(tmp_path / "old.json", tmp_path / "old")
+                == (fixture / "report.json").read_bytes())
 
 
 def packed_json(array):

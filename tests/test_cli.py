@@ -68,9 +68,15 @@ class TestSynth:
         assert code == 1
         assert "correlation" in capsys.readouterr().err
 
-    def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
-        code = run_cli("synth", "--frobnicate", 1, "--out", tmp_path)
+    # the retired training settings are no flags: see
+    # test_unknown_config_key_rejected
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--frobnicate"), ("train", "--clip-norm"), ("train", "--dof"),
+        ("train", "--epsilon"), ("sweep", "--refresh-interval")])
+    def test_unknown_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        code = run_cli(command, flag, 1, "--out", tmp_path)
         assert code == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_missing_required_out(self, capsys):
         code = run_cli("synth", "--n", 10)
@@ -536,8 +542,11 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"usage error: {cfg}: {key}: invalid value {raw!r}\n"
         assert not (tmp_path / "o").exists()
 
-    # clip_norm is no setting: the norm is the constant nn.CLIP_NORM
-    @pytest.mark.parametrize("command, key", [("synth", "frobnicate"), ("train", "clip_norm")])
+    # the retired training settings are constants: nn.CLIP_NORM,
+    # model.DOF, smooth_target's floor and a refresh at every epoch
+    @pytest.mark.parametrize("command, key", [
+        ("synth", "frobnicate"), ("train", "clip_norm"), ("train", "dof"),
+        ("train", "epsilon"), ("sweep", "refresh_interval")])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = 1\n")

@@ -186,6 +186,16 @@ class TestContingency:
         with pytest.raises(ValueError, match=r"equal length, got shapes \(3,\) and \(2,\)"):
             contingency([0, 1, 1], [0, 1])
 
+    @pytest.mark.parametrize("rows, cols", [(None, None), (2, None), (None, 3)])
+    def test_empty_labels_need_explicit_sizes(self, rows, cols):
+        with pytest.raises(ValueError,
+                           match="^label arrays are empty, so rows and cols must be given$"):
+            contingency([], [], rows, cols)
+
+    def test_empty_labels_with_explicit_sizes_count_nothing(self):
+        table = contingency([], [], rows=2, cols=3)
+        assert table.shape == (2, 3) and not table.any()
+
     def test_negative_prediction_is_not_wrapped(self):
         # indexing would wrap -1 onto the last cluster and score 2 of 3
         with pytest.raises(ValueError, match=r"row labels must lie in 0\.\.1, got -1\.\.1"):

@@ -193,6 +193,12 @@ class TestNormalize:
             ds = normalize(self.base([3.0, 3.0, 3.0]), mode)
             np.testing.assert_array_equal(ds.features[:, 1], 0.0)
 
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_constant_column_of_signed_zeros_maps_to_positive_zero(self, mode):
+        # min picks -0.0 or +0.0, so x - min alone can leave -0.0 entries
+        ds = normalize(self.base([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]), mode)
+        assert not np.signbit(ds.features[:, 0]).any()
+
     def test_zscore_uses_sample_std(self):
         ds = normalize(self.base([1.0, 2.0, 3.0]), "zscore")
         np.testing.assert_allclose(ds.features[:, 0], [-1.0, 0.0, 1.0])

@@ -196,6 +196,10 @@ class TestNmi:
         with pytest.raises(ValueError, match="equal length"):
             nmi([0, 1, 1], [0, 1])
 
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="^label arrays are empty"):
+            nmi([], [])
+
     def test_symmetric(self):
         rng = np.random.default_rng(5)
         a = rng.integers(0, 3, size=80)

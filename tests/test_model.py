@@ -38,16 +38,14 @@ def row_stochastic(rng, rows, cols, low=0.05):
 
 class TestTrainConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["gamma", "beta", "epsilon", "dof", "lr",
-                                      "convergence_tol", "recon_weight"])
+    @pytest.mark.parametrize("name", ["gamma", "beta", "lr", "convergence_tol",
+                                      "recon_weight"])
     def test_non_finite_float_refused(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             TrainConfig(K=2, **{name: value})
 
     @pytest.mark.parametrize("name, value, message", [
         ("gamma", -1.0, "gamma must be non-negative"),
-        ("epsilon", 0.0, "epsilon must be positive"),
-        ("dof", 0.0, "dof must be positive"),
         ("lr", 0.0, "lr must be positive"),
         ("convergence_tol", -1.0, "convergence_tol must be non-negative"),
         ("recon_weight", -1.0, "recon_weight must be non-negative"),
@@ -707,10 +705,10 @@ class TestTrainingState:
         assert isinstance(info.value.__cause__, ValueError)
 
 
-class TestRefreshInterval:
+class TestTargetRefresh:
     BATCHES = 4  # tiny_run sweeps 120 rows in batches of 32
 
-    def run(self, monkeypatch, interval):
+    def run(self, monkeypatch):
         """Trains tiny_run for 5 epochs; returns the epoch and P of each
         refresh, and for each batch the P rows it was given and the
         refresh count when it ran."""
@@ -732,18 +730,16 @@ class TestRefreshInterval:
 
         monkeypatch.setattr(model_module, "_refresh_targets", counted_refresh)
         monkeypatch.setattr(model_module, "fair_objective", recorded_objective)
-        model = train(ds, ae, replace(cfg, refresh_interval=interval))
+        model = train(ds, ae, cfg)
         assert len(model.history) == 5 and len(batches) == 5 * self.BATCHES
         return refreshes, batches
 
-    @pytest.mark.parametrize("interval, epochs", [(0, [0]), (1, [0, 1, 2, 3, 4]),
-                                                  (2, [0, 2, 4])])
-    def test_refreshes_every_interval_epochs(self, monkeypatch, interval, epochs):
-        refreshes, _ = self.run(monkeypatch, interval)
-        assert [epoch for epoch, _ in refreshes] == epochs
+    def test_targets_refresh_at_the_start_of_every_epoch(self, monkeypatch):
+        refreshes, _ = self.run(monkeypatch)
+        assert [epoch for epoch, _ in refreshes] == [0, 1, 2, 3, 4]
 
-    def test_sweeps_between_refreshes_use_the_last_refreshed_p(self, monkeypatch):
-        refreshes, batches = self.run(monkeypatch, 2)
+    def test_each_sweep_uses_its_epochs_p(self, monkeypatch):
+        refreshes, batches = self.run(monkeypatch)
         assert not np.array_equal(refreshes[0][1], refreshes[1][1])
         for n_refreshed, idx, P in batches:
             np.testing.assert_array_equal(P, refreshes[n_refreshed - 1][1][idx])

@@ -486,8 +486,7 @@ class TestSgdStep:
 class TestRequireFinite:
     @pytest.mark.parametrize("make", [
         lambda: AeConfig(dims=(4, 2), lr_pretrain=20, dropout=0),
-        lambda: TrainConfig(K=2, gamma=1, beta=1000, epsilon=1, dof=1, lr=1,
-                            convergence_tol=0, recon_weight=1),
+        lambda: TrainConfig(K=2, gamma=1, beta=1000, lr=1, convergence_tol=0, recon_weight=1),
         lambda: SynthSpec(n_points=10, dims=2, n_blobs=2, T=2, correlation=1, blob_spread=1),
     ])
     def test_float_fields_hold_floats(self, make):
