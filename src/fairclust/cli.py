@@ -5,14 +5,17 @@ as flag > config file > default; config files are UTF-8 ``key = value``
 lines with ``#`` comments, keyed by the flag names with underscores. An
 option that sets a field of AeConfig, TrainConfig or SynthSpec has no
 default here: left unset, it keeps the class's own.
-Config objects are built once, from the option tables: the SynthSpec and
-one TrainConfig per seed (and sweep point) before any file is read, and
-the AeConfig, which needs the data width, once after the read; --out is
-made only once it and any --pretrain checkpoint are checked. Invalid
-settings, a --config file that cannot be read or that sets a key twice,
-an empty --out, an empty list or a value listed twice in --seeds,
---gamma-list or --k-list, and sweep values that would share a directory
-are usage errors, as is --dump-latent without --out.
+Only pretrain takes the autoencoder's settings; train and sweep take the
+checkpoint it writes, as --pretrain. Config objects are built once, from
+the option tables: the SynthSpec and one TrainConfig per seed (and sweep
+point) before any file is read, and the AeConfig, which needs the data
+width, once after the read; --out is made only once it or the --pretrain
+checkpoint is checked. Invalid settings, a --config file that cannot be
+read or that sets a key twice, an empty --out, an empty list or a value
+listed twice in --seeds, --gamma-list or --k-list, sweep values that
+would share a directory, and a swept setting also set on its own (--k
+with --k-list, --gamma with --gamma-list) are usage errors, as is
+--dump-latent without --out.
 Artifacts land under --out with a manifest.json index. Exit codes:
 0 success, 1 usage error, 2 runtime failure.
 """
@@ -91,7 +94,7 @@ AE_OPTS = {
 }
 
 TRAIN_OPTS = {
-    "pretrain": (str, "inline", "AE checkpoint path, or 'inline' to pretrain here"),
+    "pretrain": (str, None, "autoencoder checkpoint written by fairclust pretrain"),
     "k": (int, None, "number of clusters"),
     "gamma": (float, None, "fairness weight"),
     "beta": (float, None, "smoothing root for the fairness target"),
@@ -125,13 +128,13 @@ NOT_A_FIELD = ("hidden", "latent", "pretrain", "seeds")
 COMMAND_OPTS = {
     "synth": {**SYNTH_OPTS},
     "pretrain": {**DATA_OPTS, **AE_OPTS},
-    "train": {**DATA_OPTS, **AE_OPTS, **TRAIN_OPTS},
+    "train": {**DATA_OPTS, **TRAIN_OPTS},
     "eval": {
         "model": (str, None, "model checkpoint path"),
         **DATA_OPTS,
         "dump_latent": (_bool, False, "also export latent embeddings as CSV"),
     },
-    "sweep": {**DATA_OPTS, **AE_OPTS, **TRAIN_OPTS,
+    "sweep": {**DATA_OPTS, **TRAIN_OPTS,
               "gamma_list": (_float_list, None, "gamma sweep values"),
               "k_list": (_int_list, None, "K sweep values")},
 }
@@ -139,9 +142,9 @@ COMMAND_OPTS = {
 REQUIRED = {
     "synth": ("out",),
     "pretrain": ("data", "latent", "out"),
-    "train": ("data", "k", "out"),
+    "train": ("data", "pretrain", "k", "out"),
     "eval": ("model", "data"),
-    "sweep": ("data", "out"),
+    "sweep": ("data", "pretrain", "out"),
 }
 
 
@@ -291,31 +294,16 @@ def cmd_synth(opts):
     return 0
 
 
-def _ae_config(ds, opts):
-    dims = tuple([ds.d] + list(opts["hidden"]) + [opts["latent"]])
-    return _config(autoencoder.AeConfig, AE_OPTS, opts, dims=dims)
-
-
-def _autoencoder(ds, ae, out):
-    """(params, artifacts) of ae: a loaded ParamSet as it is, or an
-    AeConfig pretrained here, its checkpoint and log written under out."""
-    if not isinstance(ae, autoencoder.AeConfig):
-        return ae, []
-    params, log = autoencoder.pretrain(ds.features, ae)
-    ckpt = out / AE_CHECKPOINT
-    save_params(params, ckpt)
-    log_path = out / "pretrain_log.jsonl"
-    _write_jsonl(log, log_path)
-    return params, [ckpt.name, log_path.name]
-
-
 def cmd_pretrain(opts):
     ds = _load_dataset(opts)
-    cfg = _ae_config(ds, opts)
+    dims = tuple([ds.d] + list(opts["hidden"]) + [opts["latent"]])
+    cfg = _config(autoencoder.AeConfig, AE_OPTS, opts, dims=dims)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _, artifacts = _autoencoder(ds, cfg, out)
-    _write_manifest(out, "pretrain", artifacts)
+    params, log = autoencoder.pretrain(ds.features, cfg)
+    save_params(params, out / AE_CHECKPOINT)
+    _write_jsonl(log, out / "pretrain_log.jsonl")
+    _write_manifest(out, "pretrain", [AE_CHECKPOINT, "pretrain_log.jsonl"])
     print(f"wrote {out / AE_CHECKPOINT}")
     return 0
 
@@ -374,18 +362,13 @@ def _run_seeds(ds, ae_params, configs, out, threads):
     return agg
 
 
-def _checked_ae(ds, opts):
-    """The autoencoder of train and sweep, checked against the data before
-    --out is made: the AeConfig of inline pretraining, or the ParamSet of
-    the --pretrain checkpoint."""
-    if opts["pretrain"] == "inline":
-        if opts["latent"] is None:
-            raise CliError("--latent is required for inline pretraining")
-        return _ae_config(ds, opts)
-    params = load_params(opts["pretrain"])
+def _checked_ae(ds, path):
+    """The ParamSet of the --pretrain checkpoint at path, checked against
+    the data before train or sweep makes --out."""
+    params = load_params(path)
     encoder = params.layers("enc")
     if not encoder:
-        raise ValueError(f"{opts['pretrain']}: no encoder layers")
+        raise ValueError(f"{path}: no encoder layers")
     if encoder[0].n_in != ds.d:
         raise ValueError(f"checkpoint expects {encoder[0].n_in} features, dataset has {ds.d}")
     return params
@@ -395,13 +378,10 @@ def cmd_train(opts):
     configs = _seed_configs(opts)
     threads = _thread_count()
     ds = _load_dataset(opts)
-    ae = _checked_ae(ds, opts)
+    ae_params = _checked_ae(ds, opts["pretrain"])
     out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    ae_params, artifacts = _autoencoder(ds, ae, out)
     agg = _run_seeds(ds, ae_params, configs, out, threads)
-    artifacts += ["aggregate.json"] + [f"seed_{s}" for s in opts["seeds"]]
-    _write_manifest(out, "train", artifacts)
+    _write_manifest(out, "train", ["aggregate.json"] + [f"seed_{s}" for s in opts["seeds"]])
     print(json.dumps(agg["metrics"], sort_keys=True, indent=2))
     if agg["failures"]:
         for failure in agg["failures"]:
@@ -452,8 +432,8 @@ def cmd_sweep(opts):
     values = opts["gamma_list"] if axis == "gamma" else opts["k_list"]
     if not values:
         raise CliError(f"--{axis}-list must list at least one value")
-    if axis == "k" and opts["pretrain"] == "inline" and opts["latent"] is None:
-        raise CliError("--latent is required for a K sweep with inline pretraining")
+    if opts[axis] is not None:
+        raise CliError(f"pass --{axis}-list or --{axis}, not both")
     if axis == "gamma" and opts["k"] is None:
         raise CliError("--k is required for a gamma sweep")
     point_dir = "gamma_{:g}".format if axis == "gamma" else "k_{}".format
@@ -462,14 +442,12 @@ def cmd_sweep(opts):
     threads = _thread_count()
 
     ds = _load_dataset(opts)
-    # One shared pretraining per dataset isolates the swept axis.
-    latent = opts["latent"] if opts["latent"] is not None else opts["k"]
-    ae = _checked_ae(ds, {**opts, "latent": latent})
+    # One shared autoencoder per dataset isolates the swept axis.
+    ae_params = _checked_ae(ds, opts["pretrain"])
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    ae_params, artifacts = _autoencoder(ds, ae, out)
 
-    rows = []
+    rows, artifacts = [], []
     for value, configs in points:
         try:
             agg = _run_seeds(ds, ae_params, configs, out / point_dir(value), threads)

@@ -275,7 +275,7 @@ def test_criterion_8_fwd_grows_with_cluster_count(tmp_path_factory):
         for gamma in (0.0, 10.0):
             out = root / f"gamma_{gamma:g}"
             run_cli("sweep", "--data", csv_path, "--normalize", "none",
-                    "--pretrain", ae_path, "--latent", 4, "--gamma", gamma,
+                    "--pretrain", ae_path, "--gamma", gamma,
                     "--k-list", "2,4,8", *TRAIN_ARGS, "--out", out)
             medians[gamma] = [
                 read_aggregate(out / f"k_{k}")["metrics"]["fwd_mean"]["median"]

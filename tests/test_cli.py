@@ -34,15 +34,25 @@ def synth_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trained_dir(tmp_path_factory, synth_dir):
+def ae_ckpt(tmp_path_factory, synth_dir):
+    """The autoencoder checkpoint that train and sweep runs start from."""
+    out = tmp_path_factory.mktemp("ae")
+    code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--normalize", "none",
+                   "--hidden", "8", "--latent", 2, "--layerwise-epochs", 8,
+                   "--global-epochs", 8, "--ae-batch", 128, "--out", out)
+    assert code == 0
+    return out / "ae.ckpt"
+
+
+TRAIN_ARGS = ("--normalize", "none", "--k", 2, "--gamma", 0, "--batch", 128,
+              "--max-epochs", 10, "--seeds", "1,2")
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory, synth_dir, ae_ckpt):
     out = tmp_path_factory.mktemp("train")
-    code = run_cli("train", "--data", synth_dir / "data.csv",
-                   "--normalize", "none",
-                   "--hidden", "8", "--latent", 2,
-                   "--layerwise-epochs", 8, "--global-epochs", 8,
-                   "--ae-batch", 128,
-                   "--k", 2, "--gamma", 0, "--batch", 128,
-                   "--max-epochs", 10, "--seeds", "1,2", "--out", out)
+    code = run_cli("train", "--data", synth_dir / "data.csv", "--pretrain", ae_ckpt,
+                   *TRAIN_ARGS, "--out", out)
     assert code == 0
     return out
 
@@ -89,6 +99,7 @@ class TestPretrain:
         ("--lr-pretrain=nan", "lr_pretrain must be finite, got nan"),
         ("--ae-seed=-2", "seed must be non-negative"),
         ("--dropout=1.5", "dropout must lie in [0, 1)"),
+        ("--latent=0", "layer widths must be positive"),
     ])
     def test_invalid_setting_is_usage_error(self, synth_dir, tmp_path, capsys, setting,
                                             message):
@@ -137,8 +148,8 @@ class TestTrain:
         monkeypatch.setattr(data, "load_csv", no_reads)
         monkeypatch.setattr(data, "load_with_manifest", no_reads)
         value = "inf" if field == "gamma" else "nan"
-        code = run_cli("train", "--data", tmp_path / "data.csv", "--latent", 2, "--k", 2,
-                       flag, value, "--out", tmp_path / "t")
+        code = run_cli("train", "--data", tmp_path / "data.csv", "--pretrain",
+                       tmp_path / "ae.ckpt", "--k", 2, flag, value, "--out", tmp_path / "t")
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {field} must be finite, got {value}\n"
 
@@ -156,40 +167,37 @@ class TestTrain:
                                                           capsys, argv, message):
         monkeypatch.setattr(data, "load_csv", no_reads)
         monkeypatch.setattr(data, "load_with_manifest", no_reads)
-        code = run_cli(*argv, "--data", tmp_path / "data.csv", "--latent", 2,
-                       "--out", tmp_path / "o")
+        code = run_cli(*argv, "--data", tmp_path / "data.csv", "--pretrain",
+                       tmp_path / "ae.ckpt", "--out", tmp_path / "o")
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, axis", [("train", ()), ("sweep", ("--gamma-list", "0,1"))])
     def test_empty_seed_list_is_usage_error(self, synth_dir, tmp_path, capsys, command, axis):
-        code = run_cli(command, "--data", synth_dir / "data.csv", "--latent", 2,
-                       "--k", 2, *axis, "--seeds", "", "--out", tmp_path)
+        code = run_cli(command, "--data", synth_dir / "data.csv", "--pretrain",
+                       tmp_path / "ae.ckpt", "--k", 2, *axis, "--seeds", "", "--out", tmp_path)
         assert code == 1
         assert "--seeds" in capsys.readouterr().err
 
-    def test_seeds_sharing_a_checkpoint_train_independently(self, synth_dir, tmp_path):
+    def test_seeds_sharing_a_checkpoint_train_independently(self, synth_dir, ae_ckpt,
+                                                            tmp_path):
         # every seed trains from the same loaded autoencoder; in-place SGD
         # on it would make seed 2 depend on whether seed 1 ran first
-        pre = tmp_path / "pre"
-        assert run_cli("pretrain", "--data", synth_dir / "data.csv",
-                       "--normalize", "none", "--hidden", "8", "--latent", 2,
-                       "--layerwise-epochs", 2, "--global-epochs", 2, "--out", pre) == 0
-        ae_bytes = (pre / "ae.ckpt").read_bytes()
+        ae_bytes = ae_ckpt.read_bytes()
         for seeds in ("1,2", "2"):
             assert run_cli("train", "--data", synth_dir / "data.csv",
-                           "--normalize", "none", "--pretrain", pre / "ae.ckpt",
+                           "--normalize", "none", "--pretrain", ae_ckpt,
                            "--k", 2, "--max-epochs", 4, "--batch", 128,
                            "--recon-weight", 0.5, "--seeds", seeds,
                            "--out", tmp_path / seeds) == 0
         assert ((tmp_path / "1,2" / "seed_2" / "model.ckpt").read_bytes()
                 == (tmp_path / "2" / "seed_2" / "model.ckpt").read_bytes())
-        assert (pre / "ae.ckpt").read_bytes() == ae_bytes
+        assert ae_ckpt.read_bytes() == ae_bytes
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failed_seed_records_its_cause(self, synth_dir, tmp_path, monkeypatch, capsys,
-                                           threads):
+    def test_failed_seed_records_its_cause(self, synth_dir, ae_ckpt, tmp_path, monkeypatch,
+                                           capsys, threads):
         real = model.train
 
         def fails_for_seed_2(ds, ae_params, cfg):
@@ -200,8 +208,7 @@ class TestTrain:
         monkeypatch.setattr(model, "train", fails_for_seed_2)
         monkeypatch.setenv("FAIRCLUST_THREADS", threads)
         code = run_cli("train", "--data", synth_dir / "data.csv", "--normalize", "none",
-                       "--hidden", "8", "--latent", 2, "--layerwise-epochs", 2,
-                       "--global-epochs", 2, "--k", 2, "--max-epochs", 2,
+                       "--pretrain", ae_ckpt, "--k", 2, "--max-epochs", 2,
                        "--seeds", "1,2", "--out", tmp_path)
         assert code == 2
         agg = json.loads((tmp_path / "aggregate.json").read_text())
@@ -228,28 +235,25 @@ class TestTrain:
         assert {"mean", "median", "std", "values"} <= set(stats)
         assert len(stats["values"]) == 2
 
-    def test_rerun_is_byte_identical(self, synth_dir, trained_dir, tmp_path):
-        code = run_cli("train", "--data", synth_dir / "data.csv",
-                       "--normalize", "none",
-                       "--hidden", "8", "--latent", 2,
-                       "--layerwise-epochs", 8, "--global-epochs", 8,
-                       "--ae-batch", 128,
-                       "--k", 2, "--gamma", 0, "--batch", 128,
-                       "--max-epochs", 10, "--seeds", "1,2", "--out", tmp_path)
+    def test_manifest_lists_the_aggregate_and_the_seed_dirs(self, trained_dir):
+        index = json.loads((trained_dir / "manifest.json").read_text())
+        assert index["command"] == "train"
+        assert index["artifacts"] == ["aggregate.json", "seed_1", "seed_2"]
+        assert sorted(p.name for p in trained_dir.iterdir()) \
+            == ["aggregate.json", "manifest.json", "seed_1", "seed_2"]
+
+    def test_rerun_is_byte_identical(self, synth_dir, ae_ckpt, trained_dir, tmp_path):
+        code = run_cli("train", "--data", synth_dir / "data.csv", "--pretrain", ae_ckpt,
+                       *TRAIN_ARGS, "--out", tmp_path)
         assert code == 0
         assert ((tmp_path / "aggregate.json").read_bytes()
                 == (trained_dir / "aggregate.json").read_bytes())
 
-    def test_threaded_seeds_same_aggregate(self, synth_dir, trained_dir,
+    def test_threaded_seeds_same_aggregate(self, synth_dir, ae_ckpt, trained_dir,
                                            tmp_path, monkeypatch):
         monkeypatch.setenv("FAIRCLUST_THREADS", "2")
-        code = run_cli("train", "--data", synth_dir / "data.csv",
-                       "--normalize", "none",
-                       "--hidden", "8", "--latent", 2,
-                       "--layerwise-epochs", 8, "--global-epochs", 8,
-                       "--ae-batch", 128,
-                       "--k", 2, "--gamma", 0, "--batch", 128,
-                       "--max-epochs", 10, "--seeds", "1,2", "--out", tmp_path)
+        code = run_cli("train", "--data", synth_dir / "data.csv", "--pretrain", ae_ckpt,
+                       *TRAIN_ARGS, "--out", tmp_path)
         assert code == 0
         assert ((tmp_path / "aggregate.json").read_bytes()
                 == (trained_dir / "aggregate.json").read_bytes())
@@ -355,10 +359,9 @@ class TestEval:
 
 
 class TestSweep:
-    def test_gamma_sweep_table(self, synth_dir, tmp_path):
+    def test_gamma_sweep_table(self, synth_dir, ae_ckpt, tmp_path):
         code = run_cli("sweep", "--data", synth_dir / "data.csv",
-                       "--normalize", "none", "--hidden", "8", "--latent", 2,
-                       "--layerwise-epochs", 4, "--global-epochs", 4,
+                       "--normalize", "none", "--pretrain", ae_ckpt,
                        "--k", 2, "--gamma-list", "0.01,1", "--batch", 128,
                        "--max-epochs", 5, "--seeds", "1", "--out", tmp_path)
         assert code == 0
@@ -367,22 +370,26 @@ class TestSweep:
         assert lines[0].startswith("gamma,")
         rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
         assert [r["value"] for r in rows] == [0.01, 1.0]
+        index = json.loads((tmp_path / "manifest.json").read_text())
+        assert index["artifacts"] == ["gamma_0.01", "gamma_1", "sweep.csv", "sweep.json"]
 
-    def test_k_sweep(self, synth_dir, tmp_path):
+    def test_k_sweep(self, synth_dir, ae_ckpt, tmp_path):
+        # every K trains from the one checkpoint, whatever its latent width
         code = run_cli("sweep", "--data", synth_dir / "data.csv",
-                       "--normalize", "none", "--hidden", "8", "--latent", 2,
-                       "--layerwise-epochs", 4, "--global-epochs", 4,
+                       "--normalize", "none", "--pretrain", ae_ckpt,
                        "--gamma", 0, "--k-list", "2,3", "--batch", 128,
                        "--max-epochs", 5, "--seeds", "1", "--out", tmp_path)
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("k,")
         assert len(lines) == 3
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert [(r["value"], "error" in r) for r in rows] == [(2, False), (3, False)]
 
     @pytest.mark.parametrize("point_flags, message", [
         (("--gamma-list", "0,1", "--k", 2, "--lr", "nan"), "lr must be finite, got nan"),
         (("--gamma-list", "0,-1", "--k", 2), "gamma must be non-negative"),
-        (("--k-list", "1,3", "--latent", 3), "K must be at least 2"),
+        (("--k-list", "1,3"), "K must be at least 2"),
     ])
     def test_every_point_checked_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                  point_flags, message):
@@ -394,51 +401,46 @@ class TestSweep:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "w").exists()
 
-    def test_k_sweep_from_a_checkpoint_needs_no_latent(self, synth_dir, tmp_path, capsys):
-        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--k-list", "2,3",
-                       "--out", tmp_path / "inline")
-        assert code == 1
-        assert "--latent is required" in capsys.readouterr().err
-        code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--normalize", "none",
-                       "--hidden", "8", "--latent", 2, "--layerwise-epochs", 2,
-                       "--global-epochs", 2, "--out", tmp_path / "p")
-        assert code == 0
-        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
-                       "--pretrain", tmp_path / "p" / "ae.ckpt", "--k-list", "2,3",
-                       "--batch", 128, "--max-epochs", 2, "--seeds", "1",
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("axis, value, values", [("k", "5", "2,3"), ("gamma", "7", "0,1")])
+    def test_swept_setting_set_on_its_own_refused_before_any_read(
+            self, tmp_path, monkeypatch, capsys, source, axis, value, values):
+        # the sweep sets the swept field at each point, so a value of its
+        # own would be silently dropped
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
+        monkeypatch.setattr(cli, "load_params", no_reads)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{axis} = {value}\n")
+        own = ("--" + axis, value) if source == "flag" else ("--config", cfg)
+        code = run_cli("sweep", "--data", tmp_path / "data.csv", "--pretrain",
+                       tmp_path / "ae.ckpt", f"--{axis}-list", values, *own,
                        "--out", tmp_path / "w")
-        assert code == 0
-        rows = json.loads((tmp_path / "w" / "sweep.json").read_text())["rows"]
-        assert [(r["value"], "error" in r) for r in rows] == [(2, False), (3, False)]
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: pass --{axis}-list or --{axis}, not both\n"
+        assert not (tmp_path / "w").exists()
 
-    def test_both_axes_rejected(self, synth_dir, tmp_path, capsys):
-        code = run_cli("sweep", "--data", synth_dir / "data.csv",
+    def test_both_axes_rejected(self, synth_dir, ae_ckpt, tmp_path, capsys):
+        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--pretrain", ae_ckpt,
                        "--gamma-list", "1", "--k-list", "2", "--out", tmp_path)
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
 
-    def test_no_axis_rejected(self, synth_dir, tmp_path):
-        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--out", tmp_path)
+    def test_no_axis_rejected(self, synth_dir, ae_ckpt, tmp_path, capsys):
+        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--pretrain", ae_ckpt,
+                       "--out", tmp_path)
         assert code == 1
+        assert "exactly one" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis", [("--gamma-list", ",", "--k", 2), ("--k-list", ",")])
     def test_empty_value_list_refused_before_any_read(self, tmp_path, monkeypatch, capsys,
                                                       axis):
         monkeypatch.setattr(data, "load_csv", no_reads)
         monkeypatch.setattr(data, "load_with_manifest", no_reads)
-        code = run_cli("sweep", "--data", tmp_path / "data.csv", "--latent", 2, *axis,
-                       "--out", tmp_path / "w")
+        code = run_cli("sweep", "--data", tmp_path / "data.csv", "--pretrain",
+                       tmp_path / "ae.ckpt", *axis, "--out", tmp_path / "w")
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {axis[0]} must list at least one value\n"
-        assert not (tmp_path / "w").exists()
-
-    def test_zero_latent_is_refused_not_replaced_by_k(self, synth_dir, tmp_path, capsys):
-        code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
-                       "--hidden", "8", "--latent", 0, "--k", 3, "--gamma-list", "0",
-                       "--layerwise-epochs", 1, "--global-epochs", 1, "--max-epochs", 1,
-                       "--seeds", "1", "--out", tmp_path / "w")
-        assert code == 1
-        assert capsys.readouterr().err == "usage error: layer widths must be positive\n"
         assert not (tmp_path / "w").exists()
 
 
@@ -579,7 +581,7 @@ class TestConfigFile:
         from fairclust.cli import COMMAND_OPTS, build_parser, resolve
 
         samples = {int: ("11", "22"), float: ("0.125", "0.875")}
-        required_fill = {"data": "d.csv", "latent": "2", "k": "2",
+        required_fill = {"data": "d.csv", "latent": "2", "pretrain": "ae.ckpt", "k": "2",
                          "model": "m.json"}
         parser = build_parser()
         from fairclust.cli import REQUIRED
@@ -630,11 +632,13 @@ class TestOutOfSample:
         test_csv = tmp_path / "test.csv"
         fc2.save_csv(train_ds, train_csv)
         fc2.save_csv(test_ds, test_csv)
-        run = tmp_path / "run"
-        assert run_cli("train", "--data", train_csv, "--normalize", "none",
+        ae, run = tmp_path / "ae", tmp_path / "run"
+        assert run_cli("pretrain", "--data", train_csv, "--normalize", "none",
                        "--hidden", "8", "--latent", 2,
                        "--layerwise-epochs", 15, "--global-epochs", 15,
-                       "--ae-batch", 128,
+                       "--ae-batch", 128, "--out", ae) == 0
+        assert run_cli("train", "--data", train_csv, "--normalize", "none",
+                       "--pretrain", ae / "ae.ckpt",
                        "--k", 2, "--batch", 128, "--max-epochs", 10,
                        "--seeds", "1", "--out", run) == 0
         capsys.readouterr()
@@ -646,33 +650,53 @@ class TestOutOfSample:
 
 
 class TestNoOutputOnRefusal:
-    @pytest.mark.parametrize("argv, code, message", [
-        (("train", "--k", 2, "--latent", 2, "--ae-seed=-1"), 1,
-         "usage error: seed must be non-negative"),
-        (("train", "--k", 2), 1, "usage error: --latent is required for inline pretraining"),
-        (("sweep", "--k", 2, "--latent", 2, "--gamma-list", "0,1", "--dropout", "1.5"), 1,
-         "usage error: dropout must lie in [0, 1)"),
-        (("train", "--k", 2, "--pretrain", "missing.json"), 2,
-         "error: [Errno 2] No such file or directory"),
-    ])
-    def test_out_is_made_only_after_every_input_is_checked(self, synth_dir, tmp_path,
-                                                            monkeypatch, capsys, argv, code,
-                                                            message):
-        # the autoencoder's settings and a --pretrain checkpoint are checked
-        # after the read, but before --out is made (pretrain: TestPretrain)
+    @pytest.mark.parametrize("argv", [("train", "--k", 2),
+                                      ("sweep", "--k", 2, "--gamma-list", "0,1")])
+    def test_out_is_made_only_after_the_checkpoint_is_checked(self, synth_dir, tmp_path,
+                                                              monkeypatch, capsys, argv):
+        # the --pretrain checkpoint is checked after the read, but before
+        # --out is made (the autoencoder's settings: TestPretrain)
         monkeypatch.chdir(tmp_path)
-        assert run_cli(*argv, "--data", synth_dir / "data.csv", "--hidden", "8",
-                       "--out", "o") == code
-        assert capsys.readouterr().err.startswith(message)
+        assert run_cli(*argv, "--pretrain", "missing.json", "--data", synth_dir / "data.csv",
+                       "--out", "o") == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [("train", "--k", 2), ("sweep", "--k-list", "2,3")])
+    def test_pretrain_checkpoint_is_required(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(data, "load_csv", no_reads)
+        monkeypatch.setattr(data, "load_with_manifest", no_reads)
+        assert run_cli(*argv, "--data", tmp_path / "data.csv", "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "usage error: missing required options: ['pretrain']\n"
+        assert not (tmp_path / "o").exists()
+
+    # train and sweep take the autoencoder only from the --pretrain checkpoint
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("dest", sorted(AE_OPTS))
+    @pytest.mark.parametrize("argv", [("train", "--k", 2),
+                                      ("sweep", "--k", 2, "--gamma-list", "0,1")])
+    def test_autoencoder_setting_refused(self, tmp_path, monkeypatch, capsys, argv, dest,
+                                         source):
+        for module, name in ((data, "load_csv"), (data, "load_with_manifest"),
+                             (cli, "load_params")):
+            monkeypatch.setattr(module, name, no_reads)
+        flag, cfg = "--" + dest.replace("_", "-"), tmp_path / "run.cfg"
+        cfg.write_text(f"{dest} = 7\n")
+        setting = (flag, 7) if source == "flag" else ("--config", cfg)
+        assert run_cli(*argv, "--data", tmp_path / "data.csv", "--pretrain",
+                       tmp_path / "ae.ckpt", *setting, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"usage error: unrecognized arguments: {flag} 7\n" if source == "flag"
+            else f"usage error: unknown config keys: ['{dest}']\n")
         assert not (tmp_path / "o").exists()
 
 
     REQUIRED_FLAGS = {
         "synth": (),
         "pretrain": ("--data", "d.csv", "--latent", 2),
-        "train": ("--data", "d.csv", "--k", 2, "--latent", 2),
+        "train": ("--data", "d.csv", "--k", 2, "--pretrain", "ae.ckpt"),
         "eval": ("--model", "m.json", "--data", "d.csv"),
-        "sweep": ("--data", "d.csv", "--k", 2, "--latent", 2, "--gamma-list", "0"),
+        "sweep": ("--data", "d.csv", "--k", 2, "--pretrain", "ae.ckpt", "--gamma-list", "0"),
     }
 
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -730,26 +754,25 @@ class TestNoOutputOnRefusal:
 
 
 class TestEnvironment:
-    def test_invalid_thread_env_is_usage_error(self, synth_dir, tmp_path,
+    def test_invalid_thread_env_is_usage_error(self, synth_dir, ae_ckpt, tmp_path,
                                                monkeypatch, capsys):
         monkeypatch.setenv("FAIRCLUST_THREADS", "zero")
         code = run_cli("train", "--data", synth_dir / "data.csv",
-                       "--normalize", "none", "--hidden", "8", "--latent", 2,
-                       "--k", 2, "--seeds", "1", "--out", tmp_path)
+                       "--normalize", "none", "--pretrain", ae_ckpt,
+                       "--k", 2, "--seeds", "1", "--out", tmp_path / "o")
         assert code == 1
         assert "FAIRCLUST_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "ae.ckpt").exists()
+        assert not (tmp_path / "o").exists()
 
-    def test_invalid_thread_env_stops_a_sweep_before_any_work(self, synth_dir, tmp_path,
-                                                              monkeypatch, capsys):
+    def test_invalid_thread_env_stops_a_sweep_before_any_work(self, synth_dir, ae_ckpt,
+                                                              tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FAIRCLUST_THREADS", "zero")
         code = run_cli("sweep", "--data", synth_dir / "data.csv", "--normalize", "none",
-                       "--hidden", "8", "--latent", 2, "--k", 2, "--gamma-list", "0.1,1",
-                       "--out", tmp_path)
+                       "--pretrain", ae_ckpt, "--k", 2, "--gamma-list", "0.1,1",
+                       "--out", tmp_path / "o")
         assert code == 1
         assert "FAIRCLUST_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
-        assert not (tmp_path / "ae.ckpt").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_console_script_entry_point(self, tmp_path):
         result = subprocess.run(
@@ -781,7 +804,8 @@ def other_value(value):
 class TestConfigBuilder:
     @pytest.mark.parametrize("command, required, table, factory, fixed", [
         ("pretrain", ("--data", "d.csv", "--latent", "2"), AE_OPTS, AeConfig, {"dims": (4, 2)}),
-        ("train", ("--data", "d.csv", "--k", "2"), TRAIN_OPTS, TrainConfig, {"seed": 0}),
+        ("train", ("--data", "d.csv", "--pretrain", "ae.ckpt", "--k", "2"), TRAIN_OPTS,
+         TrainConfig, {"seed": 0}),
         ("synth", (), SYNTH_OPTS, SynthSpec, {}),
     ])
     def test_every_option_sets_the_field_it_names(self, command, required, table, factory,
@@ -804,10 +828,11 @@ class TestConfigBuilder:
             assert getattr(cfg, name) == value != getattr(baseline, name), dest
             assert asdict(cfg) == {**asdict(baseline), name: value}, dest
 
-    def test_one_jsonl_writer_for_logs_and_histories(self, trained_dir, tmp_path):
+    def test_one_jsonl_writer_for_logs_and_histories(self, ae_ckpt, trained_dir, tmp_path):
         _write_jsonl([{"b": 1, "a": [0.1, None]}, {}], tmp_path / "x.jsonl")
         assert (tmp_path / "x.jsonl").read_bytes() == b'{"a": [0.1, null], "b": 1}\n{}\n'
-        for path in (trained_dir / "pretrain_log.jsonl", trained_dir / "seed_1" / "history.jsonl"):
+        for path in (ae_ckpt.parent / "pretrain_log.jsonl",
+                     trained_dir / "seed_1" / "history.jsonl"):
             entries = [json.loads(line) for line in path.read_text().splitlines()]
             assert entries
             _write_jsonl(entries, tmp_path / "again.jsonl")
