@@ -1,7 +1,8 @@
 """Centroid initialization (k-means++ seeding plus Lloyd refinement) and
 optimal cluster-to-label matching for accuracy evaluation. The matching is
-solved here by a shortest-augmenting-path assignment solver, so that no
-fairclust process imports scipy.optimize.
+solved here by a shortest-augmenting-path assignment solver rather than
+scipy.optimize: the package imports no scipy module (metrics computes its
+relative entropy itself too).
 """
 
 from __future__ import annotations

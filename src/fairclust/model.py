@@ -16,7 +16,6 @@ import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
 
 from . import metrics
 from .autoencoder import encode
@@ -141,12 +140,21 @@ def smooth_target(Phi, beta=1000.0, epsilon=1e-9):
 
 
 def kl_loss(target, model_probs):
-    """sum target * log(target / model) with the 0 log 0 = 0 convention."""
+    """sum target * log(target / model), with numpy's logs and 0 log 0 = 0:
+    a zero target entry adds nothing, whatever the model entry, and a
+    positive target against a zero model entry makes the sum +inf. A
+    negative entry makes it nan where scipy.special.rel_entr gave inf (a
+    pair of two negatives adds a finite term); train refuses both as a
+    non-finite loss. The value feeds only the logged losses and that check,
+    never a gradient, so it skips metrics.rel_entr_term's per-term libm
+    logs, which are ten times slower here, and can differ from rel_entr's
+    sum in the last bits."""
     target = np.asarray(target, dtype=float)
     model_probs = np.asarray(model_probs, dtype=float)
     if target.shape != model_probs.shape:
         raise ValueError("target and model matrices must share a shape")
-    return float(rel_entr(target, model_probs).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(target * np.log(target / model_probs), where=target != 0))
 
 
 def batch_centroids(P, Z):

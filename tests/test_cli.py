@@ -791,6 +791,15 @@ class TestEnvironment:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_import_loads_no_scipy_module(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, fairclust, fairclust.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 def other_value(value):
     """A valid setting of a config field that differs from value."""

@@ -17,6 +17,7 @@ from fairclust.metrics import (
     histograms_to_csv,
     hungarian_match,
     nmi,
+    rel_entr_term,
     report_from_assignments,
 )
 
@@ -212,6 +213,46 @@ class TestNmi:
         pred = rng.integers(0, 3, size=90)
         relabel = np.array([1, 2, 0])
         assert nmi(relabel[pred], truth) == pytest.approx(nmi(pred, truth))
+
+
+class TestRelEntrTerm:
+    """nmi's per-term relative entropy is scipy.special.rel_entr's, bit for
+    bit, on every branch."""
+
+    @staticmethod
+    def assert_bitwise_rel_entr(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        got = np.array([rel_entr_term(a, b) for a, b in zip(x.tolist(), y.tolist())])
+        expected = rel_entr(x, y)
+        mismatched = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+        assert mismatched.size == 0, list(zip(x[mismatched], y[mismatched]))
+
+    def test_every_ratio_branch_on_seeded_pairs(self):
+        rng = np.random.default_rng(11)
+        n = 20000
+        base = rng.uniform(1e-3, 1.0, n)
+        scale = np.where(rng.random(n) < 0.5, rng.uniform(1e-6, 0.5, n), rng.uniform(2.0, 1e6, n))
+        x = np.concatenate([base * rng.uniform(0.5, 2.0, n),  # log1p of the gap
+                            base * scale,                      # log of the ratio
+                            rng.uniform(1e-310, 1e-300, n),    # ratio underflows
+                            rng.uniform(1e300, 1e308, n)])     # ratio overflows
+        y = np.concatenate([base, base, rng.uniform(1e10, 1e11, n), rng.uniform(1e-10, 1e-9, n)])
+        with np.errstate(over="ignore"):
+            ratio = x / y
+        tiny = np.finfo(float).tiny
+        near_one = (ratio > 0.5) & (ratio < 2)
+        assert near_one.sum() == n
+        assert (~near_one & (ratio > tiny) & np.isfinite(ratio)).sum() == n
+        assert (ratio <= tiny).sum() == n
+        assert np.isinf(ratio).sum() == n
+        self.assert_bitwise_rel_entr(x, y)
+
+    def test_edge_values(self):
+        edges = [0.0, -0.0, -1.0, -np.inf, np.inf, np.nan, 5e-324, 1e-310,
+                 np.finfo(float).tiny, 0.3, 1.0, 1e308]
+        x, y = np.meshgrid(edges, edges)
+        self.assert_bitwise_rel_entr(x.ravel(), y.ravel())
 
 
 class TestReport:

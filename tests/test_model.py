@@ -224,7 +224,40 @@ class TestKlLoss:
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(5)
         P = row_stochastic(rng, 6, 4)
-        assert kl_loss(P, P) == pytest.approx(0.0, abs=1e-12)
+        P[0] = [0.0, 0.5, 0.5, 0.0]
+        assert kl_loss(P, P) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_entries_raise_no_warning(self):
+        target = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0]])
+        model = np.array([[0.0, 0.5, 0.5], [0.2, 0.8, 0.0]])
+        assert kl_loss(target, model) == pytest.approx(np.log(1.25))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_positive_target_against_zero_model_is_inf(self):
+        assert kl_loss(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]])) == np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target, model", [
+        ([[0.5, 0.5]], [[1.5, -0.5]]),
+        ([[1.5, -0.5]], [[0.5, 0.5]]),
+        ([[1.0, -0.0001]], [[1.0, 0.0]]),
+    ])
+    def test_negative_entry_is_nan(self, target, model):
+        assert np.isnan(kl_loss(np.array(target), np.array(model)))
+
+    @pytest.mark.parametrize("K", [2, 4, 10])
+    def test_matches_scipy_rel_entr_on_row_stochastic_batches(self, K):
+        from scipy.special import rel_entr
+
+        rng = np.random.default_rng(K)
+        sparse = rng.uniform(0.0, 1.0, size=(256, K))
+        sparse[rng.random(sparse.shape) < 0.2] = 0.0
+        sparse[:, 0] += 0.5
+        P = sparse / sparse.sum(axis=1, keepdims=True)
+        for Q in (row_stochastic(rng, 256, K), row_stochastic(rng, 256, K, low=1e-6)):
+            expected = rel_entr(P, Q).sum()
+            assert kl_loss(P, Q) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_one_hot_against_uniform(self):
         value = kl_loss(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]))
