@@ -299,7 +299,10 @@ def train(ds, ae_params, cfg):
     centroids ride in the parameter set and are updated by the same
     optimizer as the network, with one gradient set for every batch. The
     decoder is trained only when recon_weight > 0; otherwise it is
-    returned as ae_params holds it. ae_params is never modified.
+    returned as ae_params holds it. ae_params is never modified. Initial
+    latents that are not finite, or that are the same vector for every
+    row (an encoder whose units are all dead), are a RuntimeError before
+    any training.
     """
     X = ds.features
     N = len(X)
@@ -312,6 +315,9 @@ def train(ds, ae_params, cfg):
     Z = encode(ae_params, X)
     if not np.all(np.isfinite(Z)):
         raise RuntimeError("non-finite latents; the autoencoder checkpoint is unusable")
+    if np.all(Z == Z[0]):
+        raise RuntimeError("every row encodes to the same latent vector; the autoencoder "
+                           "checkpoint is unusable")
     M0 = init_centroids(Z, cfg.K, rng.stream("kmeans"))
     prefixes = ("enc", "dec") if cfg.recon_weight > 0 else ("enc",)
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()

@@ -13,10 +13,10 @@ one training step of both loops: it clips the gradients to the global
 norm `CLIP_NORM`, then momentum `MOMENTUM`, block by block, in place. So a
 training loop allocates its gradient and velocity sets once and copies a
 set before training it when the original must survive. The clip's one
-flat dot of the gradient buffer is also the step's finiteness test: only a
-non-finite dot scans the buffer; only a step that may clip sums the norm
-in entry order. `squared_error` squares its residual in place, and
-`residual_squared_error` lets a caller hand over a residual it owns.
+flat dot of the gradient buffer is the step's norm and its finiteness
+test: only a non-finite dot scans the buffer. `squared_error` squares its
+residual in place, and `residual_squared_error` lets a caller hand over a
+residual it owns.
 
 Checkpoints are version 3 files (`write_checkpoint`, `read_checkpoint`):
 an 8-byte magic, the header's length, a JSON header that gives each
@@ -623,40 +623,27 @@ def backward(tape, upstream, out, input_grad=False):
     return g if input_grad else None
 
 
-def _squared_norm(entry):
-    if isinstance(entry, AffineLayer):
-        return float(np.sum(entry.weight**2) + np.sum(entry.bias**2))
-    return float(np.sum(entry**2))
-
-
 def clip_gradients(grads):
     """Scale grads in place so the global gradient norm is at most
     CLIP_NORM; returns grads. A fixed-threshold norm clip (Pascanu et al.,
     2013) that bounds the step when a batch or a loss term spikes; it is a
     guard of the optimizer, not part of the objective.
 
-    One flat dot of the buffer is the finiteness test and the clip test:
-    a finite dot proves every entry finite, and one below CLIP_NORM² less
-    a margin leaves grads untouched. Only a non-finite dot scans the
-    buffer; a nan or inf entry raises a RuntimeError naming its entry
-    before anything is scaled. A step that may clip, or whose squares
-    overflow, sums the squared norm in entry order and scales by it: one
-    flat reduction rounds differently, which training amplifies.
+    One flat dot of the buffer is the squared norm and the finiteness
+    test: a finite dot proves every entry finite, and one above CLIP_NORM²
+    scales the buffer by CLIP_NORM / sqrt(dot). Only a non-finite dot
+    scans the buffer; a nan or inf entry, or finite entries whose squares
+    overflow, raise a RuntimeError before anything is scaled.
     """
-    # Any float64 sum of n rounded squares lies within about n·2⁻⁵³
-    # (relative) of the exact sum, so a margin of 4·(n + 1)·2⁻⁵³ covers the
-    # dot, the entry-order sum and the rounding of the bound.
-    limit = CLIP_NORM * CLIP_NORM * (1.0 - 4.0 * (grads.buffer.size + 1) * 2.0**-53)
     dot = np.dot(grads.buffer, grads.buffer)
-    if dot < limit:
-        return grads
     if not math.isfinite(dot):
         first = int(np.argmin(np.isfinite(grads.buffer)))
         if not math.isfinite(grads.buffer[first]):
             raise RuntimeError(f"non-finite gradient for entry {grads._entry_at(first)!r}")
-    total = np.sqrt(sum(_squared_norm(g) for _, g in grads.items()))
-    if np.isfinite(total) and total > CLIP_NORM:
-        grads.buffer *= CLIP_NORM / total
+        raise RuntimeError("non-finite gradient norm: the entries are finite, "
+                           "but their squares overflow")
+    if dot > CLIP_NORM * CLIP_NORM:
+        grads.buffer *= CLIP_NORM / math.sqrt(dot)
     return grads
 
 
@@ -667,9 +654,10 @@ def sgd_step(params, grads, velocity, lr):
 
     grads and velocity must share the layout of params; grads is scaled by
     the clip and velocity and params are updated. It runs SGD_BLOCK values
-    at a time, so lr*v is never parameter-sized; a step that cannot clip
-    makes no parameter-sized array at all. A mismatched layout, or a nan or
-    inf gradient (the usual divergence signal), raises before any write.
+    at a time, so lr*v is never parameter-sized, and the clip scales grads
+    in place, so no step makes a parameter-sized array. A mismatched
+    layout, a nan or inf gradient (the usual divergence signal), or a
+    finite gradient whose squared norm overflows raises before any write.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")

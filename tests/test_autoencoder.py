@@ -140,6 +140,44 @@ class TestPretrainLayerwise:
         assert [e["lr"] for e in log] == [0.1, 0.05, 0.05, 0.1, 0.1, 0.1]
         assert len(calls) == 2 * 2 + 1
 
+    def test_step_whose_squares_overflow_is_rolled_back_as_a_nan_step_is(self, monkeypatch):
+        # the first batch's upstream gradient is scaled by spike: at 1e200
+        # every gradient entry stays finite but their squares overflow, at
+        # nan every entry is nan. The clip refuses both before any write, so
+        # epoch 1 of layer 0 is rolled back and retried at half the rate,
+        # and the two runs end in the same bytes.
+        real_grad, real_step = autoencoder.squared_error_grad, autoencoder.sgd_step
+        cfg = AeConfig(dims=(3, 4, 2), layerwise_epochs=2, global_epochs=0,
+                       batch=8, lr_pretrain=0.1, seed=0)
+
+        def run(spike):
+            calls, refused = [], []
+
+            def spiked_grad(*args):
+                calls.append(None)
+                return real_grad(*args) * (spike if len(calls) == 1 else 1.0)
+
+            def step(*args):
+                try:
+                    real_step(*args)
+                except RuntimeError as exc:
+                    refused.append(str(exc))
+                    raise
+
+            with monkeypatch.context() as patch:
+                patch.setattr(autoencoder, "squared_error_grad", spiked_grad)
+                patch.setattr(autoencoder, "sgd_step", step)
+                params, log = pretrain_layerwise(toy_data(16, 3), cfg)
+            assert [e["lr"] for e in log] == [0.1, 0.05, 0.05, 0.1, 0.1, 0.1]
+            return params, log, refused
+
+        overflow, nan = run(1e200), run(np.nan)
+        assert overflow[2] == ["non-finite gradient norm: the entries are finite, "
+                               "but their squares overflow"]
+        assert nan[2] == ["non-finite gradient for entry 'enc0'"]
+        assert overflow[0].buffer.tobytes() == nan[0].buffer.tobytes()
+        assert overflow[1] == nan[1]
+
     def test_int_rate_logs_as_a_float(self):
         # lr_pretrain=1 is stored as 1.0: every entry's rate is a float, so
         # one pretrain_log.jsonl column never mixes JSON ints and floats

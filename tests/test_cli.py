@@ -13,7 +13,7 @@ from fairclust.cli import (AE_OPTS, FIELD_OF, SYNTH_OPTS, TRAIN_OPTS, _config, _
                            build_parser, main, parse_config_file, resolve)
 from fairclust.data import SynthSpec, save_csv, synth_blobs
 from fairclust.model import TrainConfig
-from fairclust.nn import Rng, read_checkpoint
+from fairclust.nn import Rng, read_checkpoint, save_params
 
 
 def run_cli(*args):
@@ -220,6 +220,25 @@ class TestTrain:
         assert "in fails_for_seed_2" in trace and trace.endswith("ValueError: boom\n")
         err = capsys.readouterr().err.splitlines()
         assert err == ["seed 2 failed: ValueError: boom", "1 seed(s) failed"]
+
+    def test_encoder_with_dead_units_is_refused(self, synth_dir, tmp_path, capsys):
+        # a checkpoint whose enc0 units are all dead on every row (zero
+        # weights, negative biases) encodes every row to one vector: train
+        # fails the seed and names the cause instead of fitting one cluster
+        ae = autoencoder.init_params((4, 8, 2), Rng(0).stream("init"))
+        ae["enc0"].weight[...] = 0.0
+        ae["enc0"].bias[...] = -1.0
+        save_params(ae, tmp_path / "dead.ckpt")
+        code = run_cli("train", "--data", synth_dir / "data.csv", "--normalize", "none",
+                       "--pretrain", tmp_path / "dead.ckpt", "--k", 2, "--seeds", "0",
+                       "--out", tmp_path / "t")
+        assert code == 2
+        cause = ("RuntimeError: every row encodes to the same latent vector; "
+                 "the autoencoder checkpoint is unusable")
+        [failure] = json.loads((tmp_path / "t" / "aggregate.json").read_text())["failures"]
+        assert failure["seed"] == 0 and failure["error"] == cause
+        assert capsys.readouterr().err.splitlines() == [f"seed 0 failed: {cause}",
+                                                        "1 seed(s) failed"]
 
     def test_per_seed_artifacts_and_aggregate(self, trained_dir):
         for seed in (1, 2):

@@ -471,6 +471,25 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^ae_params holds no encoder \(enc\*\) layers$"):
             train(ds, decoder, TrainConfig(K=2, seed=0, max_epochs=1))
 
+    def test_encoder_with_dead_units_refused_before_training(self, monkeypatch):
+        # zero enc0 weights and negative biases: every relu unit is dead on
+        # every row, so every row encodes to the last layer's bias
+        spec = fc.SynthSpec(n_points=30, dims=4, n_blobs=3, T=3, correlation=0.5, seed=0)
+        ds = fc.synth_blobs(spec)
+        ae = init_params((4, 8, 3), Rng(0).stream("init"))
+        ae["enc0"].weight[...] = 0.0
+        ae["enc0"].bias[...] = -np.linspace(0.1, 0.8, 8)
+        assert np.all(encode(ae, ds.features) == ae["enc1"].bias)
+
+        def no_seeding(*args):
+            raise AssertionError("seeded centroids")
+
+        monkeypatch.setattr(fc.model, "init_centroids", no_seeding)
+        with pytest.raises(RuntimeError, match=r"^every row encodes to the same latent "
+                                               r"vector; the autoencoder checkpoint is "
+                                               r"unusable$"):
+            train(ds, ae, TrainConfig(K=3, seed=0, max_epochs=1))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_rate_raises(self, monkeypatch):
         # the assignment kernel saturates instead of overflowing, so the
