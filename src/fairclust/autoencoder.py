@@ -78,6 +78,17 @@ def decode(params, Z):
     return apply(params.layers("dec"), Z)
 
 
+def require_usable_latents(Z):
+    """A RuntimeError if the latents Z, one row per data row, are not all
+    finite or are the same vector for every row (an encoder whose units
+    are all dead): no clustering can be learned from such an encoder."""
+    if not np.all(np.isfinite(Z)):
+        raise RuntimeError("non-finite latents; the autoencoder checkpoint is unusable")
+    if np.all(Z == Z[0]):
+        raise RuntimeError("every row encodes to the same latent vector; the autoencoder "
+                           "checkpoint is unusable")
+
+
 def reconstruction_squared_error(params, X):
     """`nn.squared_error` of the stack's reconstruction of X, bit for bit.
     The residual is formed in the reconstruction `apply` returns, which
@@ -96,8 +107,9 @@ def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_strea
     probability dropout and survivors are scaled by 1/(1-dropout), so the
     clean passes need no rescaling; the tape records the corrupted batch.
     One gradient set serves every minibatch (`backward` overwrites all of
-    it each step); it is freed on return, with the last batch's tape, so
-    the full-data loss pass after the sweep does not hold them."""
+    it each step); it is freed on return, so the full-data loss pass after
+    the sweep does not hold it. A batch's tape is dropped after its
+    `backward`, so the next batch's forward pass does not run beside it."""
     grads = params.zeros_like()
     layers, grad_layers = params.layers(), grads.layers()
     for start in range(0, len(X), batch):
@@ -107,6 +119,7 @@ def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_strea
             xin = xb * ((noise_stream.random(xb.shape) >= dropout) / (1.0 - dropout))
         out, tape = forward(layers, xin)
         backward(tape, squared_error_grad(out, xb), grad_layers)
+        del xb, xin, out, tape
         sgd_step(params, grads, velocity, lr)
 
 
@@ -161,24 +174,28 @@ def pretrain_layerwise(X, cfg, rng=None):
     the clean output of the already-trained layers below it, corrupting
     only its own input with dropout noise and minimizing squared
     reconstruction error. Returns (params, log), the log holding each
-    pair's `_run_epochs` entries in layer order, stage "layerwise".
+    pair's `_run_epochs` entries in layer order, stage "layerwise". Each
+    trained pair is written back into the one set `init_params` made.
     """
     X = np.asarray(X, dtype=float)
     cfg = _check_input(X, cfg)
     rng = rng or Rng(cfg.seed)
-    init = init_params(cfg.dims, rng.stream("init"))
+    params = init_params(cfg.dims, rng.stream("init"))
     depth = len(cfg.dims) - 1
-    trained, log, h = {}, [], X
+    log, h = [], X
     for i in range(depth):
-        enc_name, dec_name = f"enc{i}", f"dec{depth - 1 - i}"
+        names = (f"enc{i}", f"dec{depth - 1 - i}")
         pair, pair_log = _run_epochs(
-            ParamSet([(enc_name, init[enc_name]), (dec_name, init[dec_name])]), h,
+            ParamSet((name, params[name]) for name in names), h,
             cfg.layerwise_epochs, cfg.lr_pretrain, cfg.batch, rng, cfg.dropout,
             {"stage": "layerwise", "layer": i})
-        trained.update(pair.items())
+        for name in names:
+            params[name].weight[...] = pair[name].weight
+            params[name].bias[...] = pair[name].bias
+        del pair
         log += pair_log
-        h = apply([pair[enc_name]], h)
-    return ParamSet((name, trained[name]) for name in init.names()), log
+        h = apply([params[names[0]]], h)
+    return params, log
 
 
 def finetune_global(X, params, epochs, lr, batch, rng):

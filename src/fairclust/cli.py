@@ -10,7 +10,9 @@ checkpoint it writes, as --pretrain. Config objects are built once, from
 the option tables: the SynthSpec and one TrainConfig per seed (and sweep
 point) before any file is read, and the AeConfig, which needs the data
 width, once after the read; --out is made only once it or the --pretrain
-checkpoint is checked. Invalid settings, a --config file that cannot be
+checkpoint is checked, and by pretrain only once the pretrained encoder
+is: latents that are not finite or that are one vector for every row are
+a runtime failure. Invalid settings, a --config file that cannot be
 read or that sets a key twice, an empty --out, an empty list or a value
 listed twice in --seeds, --gamma-list or --k-list, sweep values that
 would share a directory, and a swept setting also set on its own (--k
@@ -298,9 +300,10 @@ def cmd_pretrain(opts):
     ds = _load_dataset(opts)
     dims = tuple([ds.d] + list(opts["hidden"]) + [opts["latent"]])
     cfg = _config(autoencoder.AeConfig, AE_OPTS, opts, dims=dims)
+    params, log = autoencoder.pretrain(ds.features, cfg)
+    autoencoder.require_usable_latents(autoencoder.encode(params, ds.features))
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    params, log = autoencoder.pretrain(ds.features, cfg)
     save_params(params, out / AE_CHECKPOINT)
     _write_jsonl(log, out / "pretrain_log.jsonl")
     _write_manifest(out, "pretrain", [AE_CHECKPOINT, "pretrain_log.jsonl"])

@@ -200,7 +200,7 @@ def load_csv(path, schema):
         codes, levels = encode_first_appearance(cells)
         blocks.append(one_hot(codes, len(levels)))
         names.extend(f"{c}={level}" for level in levels)
-    features = np.hstack(blocks)
+    features = np.hstack(blocks) if len(blocks) > 1 else numeric
 
     labels = None
     if label_cols:

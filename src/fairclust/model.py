@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import metrics
-from .autoencoder import encode
+from .autoencoder import encode, require_usable_latents
 from .clustering import distortion, kmeans_pp_init, lloyd, nearest_assign, squared_distances
 from .nn import (
     ParamSet,
@@ -274,6 +274,10 @@ def init_centroids(Z, K, rng):
 
 @dataclass
 class TrainedModel:
+    """The learned assignment function: the encoder layers in params and
+    the centroids and fairoids in its latent space. Files written before
+    models dropped the decoder load with it, and nothing reads it."""
+
     params: ParamSet
     centroids: np.ndarray
     fairoids: np.ndarray
@@ -298,11 +302,11 @@ def train(ds, ae_params, cfg):
     constant through an epoch's sweep and receive no gradient; the
     centroids ride in the parameter set and are updated by the same
     optimizer as the network, with one gradient set for every batch. The
-    decoder is trained only when recon_weight > 0; otherwise it is
-    returned as ae_params holds it. ae_params is never modified. Initial
-    latents that are not finite, or that are the same vector for every
-    row (an encoder whose units are all dead), are a RuntimeError before
-    any training.
+    decoder is trained only when recon_weight > 0, for the reconstruction
+    term; the returned params hold the trained encoder layers alone.
+    ae_params is never modified. Initial latents that are not finite, or
+    that are the same vector for every row (an encoder whose units are all
+    dead), are a RuntimeError before any training.
     """
     X = ds.features
     N = len(X)
@@ -313,11 +317,7 @@ def train(ds, ae_params, cfg):
 
     rng = Rng(cfg.seed)
     Z = encode(ae_params, X)
-    if not np.all(np.isfinite(Z)):
-        raise RuntimeError("non-finite latents; the autoencoder checkpoint is unusable")
-    if np.all(Z == Z[0]):
-        raise RuntimeError("every row encodes to the same latent vector; the autoencoder "
-                           "checkpoint is unusable")
+    require_usable_latents(Z)
     M0 = init_centroids(Z, cfg.K, rng.stream("kmeans"))
     prefixes = ("enc", "dec") if cfg.recon_weight > 0 else ("enc",)
     params = ParamSet([*((name, layer) for name, layer in ae_params.items()
@@ -363,9 +363,8 @@ def train(ds, ae_params, cfg):
         history.append(entry)
         Z = encode(params, X)
 
-    network = ParamSet((name, params[name] if name in params else layer)
-                       for name, layer in ae_params.items())
-    return TrainedModel(params=network, centroids=params[CENTROIDS].copy(),
+    encoder = ParamSet((name, layer) for name, layer in params.items() if name.startswith("enc"))
+    return TrainedModel(params=encoder, centroids=params[CENTROIDS].copy(),
                         fairoids=compute_fairoids(Z, ds.protected, ds.T), config=cfg,
                         history=history)
 
@@ -383,10 +382,12 @@ def predict(model, X):
 
 def save_model(model, path):
     """Write a version 3 model checkpoint, `format` fairclust-model: the
-    network's layer records, the config and the history in the header,
-    and the network's `buffer`, the `centroids` and the `fairoids` as raw
-    arrays."""
-    header, arrays = model.params.to_payload()
+    encoder's layer records, the config and the history in the header,
+    and the encoder's values as `buffer`, the `centroids` and the
+    `fairoids` as raw arrays; no decoder layer is written. The encoder
+    layers must lead model.params, as in every set `init_params` and
+    `train` build: their values are written from a view of its buffer."""
+    header, arrays = model.params.to_payload("enc")
     write_checkpoint(path, {**header, "format": MODEL_FORMAT, "config": asdict(model.config),
                             "history": model.history},
                      {**arrays, "centroids": model.centroids, "fairoids": model.fairoids})

@@ -223,14 +223,21 @@ class ParamSet:
             raise ValueError(f"expected a flat vector of length {self.n_params}")
         return self._like(vec)
 
-    def to_payload(self):
-        """(header, arrays) of the set's version 3 checkpoint: the layer
-        records, then the whole buffer as the one array `buffer`."""
-        if any(not isinstance(l, AffineLayer) for l in self._views.values()):
+    def to_payload(self, prefix=""):
+        """(header, arrays) of the version 3 checkpoint of the entries whose
+        names start with prefix (all by default): their layer records, then
+        their values as the one array `buffer`, a view of the set's buffer.
+        So the chosen entries must lead the set, and they must be layers."""
+        chosen = [name for name in self._layout if name.startswith(prefix)]
+        if chosen != self.names()[: len(chosen)]:
+            raise ValueError(f"the {prefix}* entries must lead the parameter set")
+        layers = [self._views[name] for name in chosen]
+        if any(not isinstance(l, AffineLayer) for l in layers):
             raise ValueError("checkpoints hold layers only, not bare matrix entries")
-        layers = [{"name": name, "activation": l.activation, "shape": [l.n_in, l.n_out]}
-                  for name, l in self._views.items()]
-        return {"format": PARAMS_FORMAT, "layers": layers}, {"buffer": self.buffer}
+        records = [{"name": name, "activation": l.activation, "shape": [l.n_in, l.n_out]}
+                   for name, l in zip(chosen, layers)]
+        end = sum(l.weight.size + l.bias.size for l in layers)
+        return {"format": PARAMS_FORMAT, "layers": records}, {"buffer": self.buffer[:end]}
 
     @classmethod
     def from_payload(cls, payload, arrays=None):

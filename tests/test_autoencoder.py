@@ -280,6 +280,29 @@ class TestFinetuneGlobal:
         assert loss == squared_error(apply(params.layers(), X), X)
 
 
+class TestSweepMemory:
+    def test_a_batch_tape_is_dropped_before_the_next_forward(self):
+        # a 3-batch sweep peaks less than half a tape above a 1-batch one:
+        # each batch's tape is freed before the next batch's forward pass.
+        # Many narrow layers make the tape large beside backward's scratch.
+        dims, batch = (16, 128, 128, 128, 128, 128, 128, 4), 512
+        outputs = sum(dims[1:]) + sum(dims[-2::-1])
+        tape = 8 * batch * (dims[0] + outputs)
+        peaks = {}
+        for batches in (1, 3):
+            params = init_params(dims, Rng(0).stream("init"))
+            velocity, noise = params.zeros_like(), Rng(0).stream("dropout")
+            X = toy_data(batches * batch, dims[0], seed=1)
+            tracemalloc.start()
+            try:
+                autoencoder._minibatch_sweep(params, velocity, X, np.arange(len(X)), 0.01,
+                                             batch, 0.2, noise)
+                peaks[batches] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] < peaks[1] + tape / 2
+
+
 class TestDropoutCorruption:
     # pretraining corrupts each minibatch itself; `nn.forward` runs the
     # batch it is given

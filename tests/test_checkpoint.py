@@ -117,12 +117,15 @@ class TestVersion1Files:
         assert capsys.readouterr().out == (V1 / "report.json").read_text()
 
     def test_resaving_writes_version_3_with_the_same_bits(self, tmp_path):
+        # the fixture holds the decoder of its day; a re-save drops it
         trained = model.load_model(V1 / "model.json")
+        assert trained.params.names() == ["enc0", "enc1", "dec0", "dec1"]
         model.save_model(trained, tmp_path / "model.ckpt")
         assert (tmp_path / "model.ckpt").read_bytes().startswith(MAGIC)
         assert read_checkpoint(tmp_path / "model.ckpt", MODEL_FORMAT)[0]["version"] == 3
         again = model.load_model(tmp_path / "model.ckpt")
-        assert bit_equal(again.params.buffer, trained.params.buffer)
+        assert again.params.names() == ["enc0", "enc1"]
+        assert bit_equal(again.params.buffer, trained.params.buffer[: again.params.n_params])
         assert bit_equal(again.centroids, trained.centroids)
         assert bit_equal(again.fairoids, trained.fairoids)
         assert again.config == trained.config and again.history == trained.history
@@ -133,7 +136,8 @@ class TestVersion1Files:
                          "--batch", "16", "--recon-weight", "0.5", "--out", str(tmp_path)])
         assert code == 0
         trained = model.load_model(tmp_path / "seed_0" / "model.ckpt")
-        assert trained.params.names() == load_params(V1 / "ae.json").names()
+        assert trained.params.names() == ["enc0", "enc1"]
+        assert load_params(V1 / "ae.json").names() == ["enc0", "enc1", "dec0", "dec1"]
 
 
 def unpacked(record):
@@ -178,7 +182,8 @@ class TestVersion2Files:
                          "--batch", "16", "--recon-weight", "0.5", "--out", str(tmp_path)])
         assert code == 0
         trained = model.load_model(tmp_path / "seed_0" / "model.ckpt")
-        assert trained.params.names() == load_params(V2 / "ae.json").names()
+        assert trained.params.names() == ["enc0", "enc1"]
+        assert load_params(V2 / "ae.json").names() == ["enc0", "enc1", "dec0", "dec1"]
 
 
 def assert_same_model(old, new):
@@ -639,10 +644,12 @@ class TestVersion3RoundTrip:
         assert raw[16 + length :] == params.buffer.astype("<f8").tobytes()
 
     def test_model_arrays_lie_back_to_back_to_the_end(self, tmp_path):
+        # the buffer holds the 4-6-2 encoder's 44 values, not the decoder's
         trained = model.load_model(V2 / "model.json")
         model.save_model(trained, tmp_path / "model.ckpt")
         header, _ = read_checkpoint(tmp_path / "model.ckpt", MODEL_FORMAT)
-        n, k, t = trained.params.n_params, trained.centroids.size, trained.fairoids.size
+        n, k, t = 44, trained.centroids.size, trained.fairoids.size
+        assert [rec["name"] for rec in header["layers"]] == ["enc0", "enc1"]
         assert header["arrays"] == {
             "buffer": {"dtype": "<f8", "shape": [n], "offset": 0},
             "centroids": {"dtype": "<f8", "shape": list(trained.centroids.shape),
@@ -651,6 +658,23 @@ class TestVersion3RoundTrip:
                          "offset": 8 * (n + k)}}
         length = int.from_bytes((tmp_path / "model.ckpt").read_bytes()[8:16], "little")
         assert os.path.getsize(tmp_path / "model.ckpt") == 16 + length + 8 * (n + k + t)
+
+    def test_model_checkpoint_holds_the_encoder_only(self, tmp_path):
+        # a model that holds a decoder writes the file of its encoder alone
+        trained = model.load_model(V1 / "model.json")
+        encoder = ParamSet(trained.params.items()[:2])
+        assert encoder.names() == ["enc0", "enc1"]
+        model.save_model(trained, tmp_path / "full.ckpt")
+        model.save_model(dataclasses.replace(trained, params=encoder), tmp_path / "enc.ckpt")
+        assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "enc.ckpt").read_bytes()
+
+    def test_encoder_that_does_not_lead_the_set_is_refused(self, tmp_path):
+        trained = model.load_model(V1 / "model.json")
+        reordered = ParamSet(trained.params.items()[::-1])
+        with pytest.raises(ValueError, match=r"^the enc\* entries must lead the parameter set$"):
+            model.save_model(dataclasses.replace(trained, params=reordered),
+                             tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
 
     @settings(max_examples=30)
     @given(layer_sets())
@@ -699,7 +723,7 @@ class TestVersion3RoundTrip:
 
     def test_save_and_load_copy_no_array(self, tmp_path):
         # a paper-architecture model, 784-500-500-2000-10 and back: 3.3M
-        # values, 26.6 MB of arrays
+        # values, 26.6 MB of arrays, of which the encoder's 1.7M are saved
         dims = (784, 500, 500, 2000, 10)
         pairs = list(zip(dims, dims[1:]))
         layers = [(f"enc{i}", AffineLayer(np.full((a, b), 0.5), np.zeros(b)))
@@ -716,7 +740,8 @@ class TestVersion3RoundTrip:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000  # the arrays are written from their own memory
-        arrays = 8 * (trained.params.n_params + 100 + 40)
+        encoder = 1_665_010
+        arrays = 8 * (encoder + 100 + 40)
         del trained
         tracemalloc.start()
         try:
@@ -724,7 +749,7 @@ class TestVersion3RoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loaded.params.n_params == 3_330_794
+        assert loaded.params.n_params == encoder
         assert peak <= arrays + 1_000_000
 
 
@@ -843,7 +868,7 @@ class TestVersion3Errors:
         body = b"".join(a.tobytes() for a in arrays.values())[:-24]
         path = raw_file(tmp_path / "model.ckpt", header, body)
         with pytest.raises(ValueError, match=starts_with_path(
-                path, "arrays: fairoids: offset 728 overlaps centroids$")):
+                path, "arrays: fairoids: offset 360 overlaps centroids$")):
             model.load_model(path)
 
     @pytest.mark.parametrize("cut, message", [

@@ -126,6 +126,24 @@ class TestPretrain:
         assert [l["epoch"] for l in global_] == [0, 1, 2, 3]
         assert all({"stage", "epoch", "loss", "lr"} <= set(l) for l in lines)
 
+    def test_encoder_with_dead_units_is_refused(self, synth_dir, tmp_path, monkeypatch,
+                                               capsys):
+        # pretraining that ends with every enc0 unit dead on every row
+        # (zero weights, negative biases) writes nothing and names the cause
+        def dead_pretrain(X, cfg):
+            params = autoencoder.init_params(cfg.dims, Rng(0).stream("init"))
+            params["enc0"].weight[...] = 0.0
+            params["enc0"].bias[...] = -1.0
+            return params, [{"stage": "global", "epoch": 0, "loss": 1.0, "lr": 0.1}]
+
+        monkeypatch.setattr(autoencoder, "pretrain", dead_pretrain)
+        code = run_cli("pretrain", "--data", synth_dir / "data.csv", "--hidden", "8",
+                       "--latent", 2, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: every row encodes to the same latent "
+                                           "vector; the autoencoder checkpoint is unusable\n")
+        assert not (tmp_path / "o").exists()
+
     def test_checkpoint_loadable_by_train(self, synth_dir, tmp_path):
         pre = tmp_path / "pre"
         code = run_cli("pretrain", "--data", synth_dir / "data.csv",

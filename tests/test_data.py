@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -162,6 +163,22 @@ class TestVectorizedParse:
         assert back.features.tobytes() == ds.features.tobytes()
         np.testing.assert_array_equal(back.protected, ds.protected)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_numeric_only_load_holds_one_feature_matrix(self, tmp_path):
+        # with no categorical block the parsed block is the feature matrix:
+        # no stacked copy of it is made
+        ds = synth_blobs(SynthSpec(n_points=2000, dims=100, n_blobs=2, T=3,
+                                   correlation=0.5, seed=6))
+        save_csv(ds, tmp_path / "d.csv")
+        schema = json.loads((tmp_path / "d.manifest.json").read_text())["column_roles"]
+        tracemalloc.start()
+        try:
+            back = load_csv(tmp_path / "d.csv", schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert peak < 1.5 * back.features.nbytes
 
     @settings(max_examples=60)
     @given(st.integers(2, 6), st.integers(1, 4), st.data())
