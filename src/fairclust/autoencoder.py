@@ -124,46 +124,52 @@ def _minibatch_sweep(params, velocity, X, order, lr, batch, dropout, noise_strea
 
 
 def _run_epochs(params, X, epochs, lr, batch, rng, dropout, stage):
-    """Shared epoch loop with learning-rate backoff. Returns (params, log):
-    one entry {**stage, "epoch", "loss", "lr"} per epoch from epoch 0, the
-    starting loss. Each loss is the clean full-data reconstruction error
-    after the epoch, and each rate the one the next epoch starts at. stage
-    holds the fixed fields of every entry ({"stage": "layerwise", "layer":
-    i} or {"stage": "global"}), which also name a divergence.
+    """Shared epoch loop with learning-rate backoff; trains params in place.
+    Returns (params, log): one entry {**stage, "epoch", "loss", "lr",
+    "rollbacks"} per epoch from epoch 0, the starting loss. Each loss is the
+    clean full-data reconstruction error after the epoch, each rate the one
+    the next epoch starts at, and rollbacks the epoch's failed attempts.
+    stage holds the fixed fields of every entry ({"stage": "layerwise",
+    "layer": i} or {"stage": "global"}), which also name a divergence.
 
-    Each epoch trains copies of params and velocity with one
-    `_minibatch_sweep`, so a bad epoch can be rolled back. An epoch whose
-    sweep meets a non-finite gradient (`sgd_step`'s RuntimeError), whose
-    loss is not finite, or whose loss more than doubles the previous one is
-    rolled back, the rate halved, and the epoch retried once. A retry that
-    is still bad halves the rate again and leaves the epoch rolled back, so
-    a quarter of the epoch's starting rate carries forward. A learning rate
-    driven below 1e-8 is a RuntimeError naming the stage and epoch.
+    Each attempt copies the parameter buffer and runs one `_minibatch_sweep`.
+    An attempt whose sweep meets a non-finite gradient (`sgd_step`'s
+    RuntimeError), whose loss is not finite, or whose loss more than doubles
+    the previous one is rolled back: the copy is written back, the velocity
+    restarts at zero (O'Donoghue & Candes, 2015) and the rate is halved; the
+    epoch is retried once. A retry that is still bad halves the rate again
+    and leaves the epoch rolled back, so a quarter of the epoch's starting
+    rate carries forward. A learning rate driven below 1e-8 is a
+    RuntimeError naming the stage and epoch.
     """
     velocity = params.zeros_like()
     shuffle = rng.stream("shuffle")
     noise_stream = rng.stream("dropout") if dropout else None
     prev = reconstruction_squared_error(params, X)
-    log = [{**stage, "epoch": 0, "loss": prev, "lr": lr}]
+    log = [{**stage, "epoch": 0, "loss": prev, "lr": lr, "rollbacks": 0}]
     for epoch in range(1, epochs + 1):
         order = shuffle.permutation(len(X))
-        for attempt in (0, 1):
-            trial_p, trial_v = params.copy(), velocity.copy()
+        rollbacks = 0
+        while rollbacks < 2:
+            start = params.buffer.copy()
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 try:
-                    _minibatch_sweep(trial_p, trial_v, X, order, lr, batch, dropout,
+                    _minibatch_sweep(params, velocity, X, order, lr, batch, dropout,
                                      noise_stream)
-                    loss = reconstruction_squared_error(trial_p, X)
+                    loss = reconstruction_squared_error(params, X)
                 except RuntimeError:
                     loss = np.inf
             if loss <= 2.0 * prev:
-                params, velocity, prev = trial_p, trial_v, loss
+                prev = loss
                 break
+            params.buffer[...] = start
+            velocity.buffer[...] = 0.0
+            rollbacks += 1
             lr *= 0.5
             if lr < 1e-8:
                 where = ", ".join(f"{key} {value}" for key, value in stage.items())
                 raise RuntimeError(f"pretraining diverged at {where}, epoch {epoch}")
-        log.append({**stage, "epoch": epoch, "loss": prev, "lr": lr})
+        log.append({**stage, "epoch": epoch, "loss": prev, "lr": lr, "rollbacks": rollbacks})
     return params, log
 
 
@@ -200,21 +206,21 @@ def pretrain_layerwise(X, cfg, rng=None):
 
 def finetune_global(X, params, epochs, lr, batch, rng):
     """End-to-end reconstruction training without corruption; params is
-    left as it is. batch is the minibatch size and rng the `Rng` whose
-    "shuffle" stream orders each epoch; `pretrain` passes its config's batch
-    and the Rng that layer-wise pretraining used. Returns (params, log),
-    the log being `_run_epochs`'s entries, stage "global".
+    left as it is: a copy of it is trained. batch is the minibatch size and
+    rng the `Rng` whose "shuffle" stream orders each epoch. Returns
+    (params, log), the log being `_run_epochs`'s entries, stage "global".
     """
-    return _run_epochs(params, np.asarray(X, dtype=float), epochs, lr, batch, rng, 0.0,
-                       {"stage": "global"})
+    return _run_epochs(params.copy(), np.asarray(X, dtype=float), epochs, lr, batch, rng,
+                       0.0, {"stage": "global"})
 
 
 def pretrain(X, cfg):
-    """Layer-wise pretraining followed by global fine-tuning, one seed."""
+    """Layer-wise pretraining followed by global fine-tuning, one seed. The
+    global stage trains the layer-wise result in place, with the same Rng."""
     rng = Rng(cfg.seed)
     params, log = pretrain_layerwise(X, cfg, rng=rng)
-    params, global_log = finetune_global(X, params, cfg.global_epochs,
-                                         cfg.lr_pretrain, cfg.batch, rng=rng)
+    params, global_log = _run_epochs(params, np.asarray(X, dtype=float), cfg.global_epochs,
+                                     cfg.lr_pretrain, cfg.batch, rng, 0.0, {"stage": "global"})
     return params, log + global_log
 
 

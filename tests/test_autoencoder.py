@@ -90,10 +90,10 @@ class TestPretrainLayerwise:
         h1 = apply([fresh["enc0"]], X)
         assert log == [
             {"stage": "layerwise", "layer": 0, "epoch": 0, "lr": cfg.lr_pretrain,
-             "loss": reconstruction_squared_error(
+             "rollbacks": 0, "loss": reconstruction_squared_error(
                  ParamSet([("enc0", fresh["enc0"]), ("dec1", fresh["dec1"])]), X)},
             {"stage": "layerwise", "layer": 1, "epoch": 0, "lr": cfg.lr_pretrain,
-             "loss": reconstruction_squared_error(
+             "rollbacks": 0, "loss": reconstruction_squared_error(
                  ParamSet([("enc1", fresh["enc1"]), ("dec0", fresh["dec0"])]), h1)},
         ]
 
@@ -119,12 +119,13 @@ class TestPretrainLayerwise:
         assert [(e["layer"], e["epoch"]) for e in log] == [(l, e) for l in (0, 1)
                                                            for e in (0, 1, 2, 3)]
         for entry in log:
-            assert set(entry) == {"stage", "layer", "epoch", "loss", "lr"}
+            assert set(entry) == {"stage", "layer", "epoch", "loss", "lr", "rollbacks"}
             assert entry["stage"] == "layerwise"
 
     def test_log_shows_a_rollback(self, monkeypatch):
         # the first sweep meets a non-finite gradient: epoch 1 of layer 0 is
-        # rolled back once, so its rate is halved and the retry's loss logged
+        # rolled back once, so its rate is halved, the retry's loss logged
+        # and the rollback counted
         real_sweep, calls = autoencoder._minibatch_sweep, []
 
         def sweep_failing_once(*args):
@@ -138,6 +139,7 @@ class TestPretrainLayerwise:
                        batch=8, lr_pretrain=0.1, seed=0)
         _, log = pretrain_layerwise(toy_data(16, 3), cfg)
         assert [e["lr"] for e in log] == [0.1, 0.05, 0.05, 0.1, 0.1, 0.1]
+        assert [e["rollbacks"] for e in log] == [0, 1, 0, 0, 0, 0]
         assert len(calls) == 2 * 2 + 1
 
     def test_step_whose_squares_overflow_is_rolled_back_as_a_nan_step_is(self, monkeypatch):
@@ -242,6 +244,28 @@ class TestFinetuneGlobal:
         assert log[1]["lr"] == 12.5
         assert log[1]["loss"] == log[0]["loss"]
 
+    def test_rollback_restores_the_epoch_start_and_restarts_momentum(self, monkeypatch):
+        # global epoch 2's first sweep trains, then fails: its retry starts
+        # from epoch 2's starting parameters and from zero velocity
+        real_sweep, seen = autoencoder._minibatch_sweep, []
+
+        def sweep_failing_at_epoch_2(params, velocity, *args):
+            seen.append((params.buffer.copy(), velocity.buffer.copy()))
+            real_sweep(params, velocity, *args)
+            if len(seen) == 2:
+                raise RuntimeError("non-finite gradient")
+
+        monkeypatch.setattr(autoencoder, "_minibatch_sweep", sweep_failing_at_epoch_2)
+        cfg = AeConfig(dims=(5, 4, 2), layerwise_epochs=0, global_epochs=3, batch=8,
+                       lr_pretrain=0.05, seed=0)
+        _, log = pretrain(toy_data(32, 5), cfg)
+        assert len(seen) == 4
+        (start_p, start_v), (retry_p, retry_v) = seen[1], seen[2]
+        assert retry_p.tobytes() == start_p.tobytes()
+        assert np.any(start_v != 0)
+        assert not np.any(retry_v)
+        assert [e["rollbacks"] for e in log if e["stage"] == "global"] == [0, 0, 1, 0]
+
     def test_an_error_that_is_not_divergence_propagates(self):
         X = toy_data(30, 3, seed=8)
         cfg = AeConfig(dims=(3, 2), layerwise_epochs=2, global_epochs=0, batch=10)
@@ -301,6 +325,22 @@ class TestSweepMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[3] < peaks[1] + tape / 2
+
+
+    def test_pretraining_holds_under_five_parameter_sets(self):
+        # the global stage trains the layer-wise set in place beside its
+        # velocity, one rollback copy and the gradients: 4 parameter-sized
+        # sets, the data and the tapes being small at 16 rows
+        cfg = AeConfig(dims=(256, 256, 2), layerwise_epochs=0, global_epochs=2, batch=8,
+                       seed=0)
+        X = toy_data(16, 256, seed=1)
+        tracemalloc.start()
+        try:
+            params, _ = pretrain(X, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * params.buffer.nbytes
 
 
 class TestDropoutCorruption:
