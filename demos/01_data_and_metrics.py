@@ -19,7 +19,7 @@ spec = fc.SynthSpec(n_points=2000, dims=10, n_blobs=4, T=4,
                     correlation=0.9, blob_spread=0.3, seed=7)
 ds = fc.synth_blobs(spec)
 print(f"dataset: {ds.n} points, {ds.d} features, T={ds.T} protected states")
-print(f"state counts: {ds.state_counts()}")
+print(f"state counts: {np.bincount(ds.protected, minlength=ds.T)}")
 
 # The ideal geometric clustering is simply the blob labels.
 print("\nclustering by blob identity (geometrically perfect, very unfair):")

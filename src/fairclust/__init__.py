@@ -4,6 +4,7 @@ balance, Calders-Verwer, ACC, NMI) and an experiment harness.
 """
 
 from .autoencoder import AeConfig, decode, encode, finetune_global, pretrain, pretrain_layerwise
+from .ckpt import load_params, save_params
 from .clustering import hungarian_match, kmeans_pp_init, lloyd
 from .data import Dataset, SynthSpec, load_csv, load_with_manifest, normalize, save_csv, split, synth_blobs
 from .metrics import MetricsReport, acc, balance, cv_score, fwd, nmi, report, report_from_assignments
@@ -22,6 +23,6 @@ from .model import (
     soft_assign,
     train,
 )
-from .nn import AffineLayer, ParamSet, Rng, backward, finite_diff_check, forward, load_params, save_params, sgd_step
+from .nn import AffineLayer, ParamSet, Rng, backward, forward, sgd_step
 
 __version__ = "0.1.0"

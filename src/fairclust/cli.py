@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autoencoder, clustering, data, metrics, model
-from .nn import load_params, save_params
+from .ckpt import load_params, save_params
 
 SCHEMA_VERSION = 1
 

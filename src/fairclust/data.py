@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import Rng, read_json, require_finite
+from .ckpt import read_json
+from .nn import Rng, require_finite
 
 ROLES = ("feature", "categorical", "label", "protected")
 NORMALIZATIONS = ("minmax", "zscore")
@@ -78,9 +79,6 @@ class Dataset:
     def d(self):
         return self.features.shape[1]
 
-    def state_counts(self):
-        return np.bincount(self.protected, minlength=self.T)
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -111,15 +109,17 @@ class SynthSpec:
 def encode_first_appearance(values):
     """Re-code raw values to 0..T-1.
 
-    Values that are already a contiguous block of integers 0..T-1 are kept
-    as they are, so exported files round trip without permuting the state
-    coding. Anything else is re-coded in first-appearance order.
+    Values that are already a contiguous block of integers 0..T-1, each
+    written as its int's canonical decimal, are kept as they are, so
+    exported files round trip without permuting the state coding. Anything
+    else is re-coded in first-appearance order, so "0" and "00", or "1"
+    and "+1", stay distinct levels.
     """
     try:
         ints = [int(v) for v in values]
     except (TypeError, ValueError):
         ints = None
-    if ints is not None:
+    if ints is not None and all(str(i) == str(v) for i, v in zip(ints, values)):
         present = sorted(set(ints))
         if present and present[0] == 0 and present[-1] == len(present) - 1:
             return np.asarray(ints, dtype=int), [str(v) for v in present]

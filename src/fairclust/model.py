@@ -19,25 +19,22 @@ import numpy as np
 
 from . import metrics
 from .autoencoder import encode, require_usable_latents
+from .ckpt import MODEL_FORMAT, read_checkpoint, write_checkpoint
 from .clustering import distortion, kmeans_pp_init, lloyd, nearest_assign, squared_distances
 from .nn import (
     ParamSet,
     Rng,
     backward,
     forward,
-    read_checkpoint,
     require_fields,
     require_finite,
     sgd_step,
     squared_error,
     squared_error_grad,
-    unpack_array,
-    write_checkpoint,
 )
 
 log = logging.getLogger(__name__)
 
-MODEL_FORMAT = "fairclust-model"
 CENTROIDS = "centroids"
 
 # The combined objective sums a per-sample clustering KL and a fairness KL
@@ -393,10 +390,6 @@ def save_model(model, path):
                      {**arrays, "centroids": model.centroids, "fairoids": model.fairoids})
 
 
-# JSON model format version -> reader of its centroids and fairoids:
-# version 1 stored them as nested JSON number lists.
-_MATRIX_READERS = {1: lambda rows: np.asarray(rows, dtype=float), 2: unpack_array}
-
 # Fields that stored configs may hold but TrainConfig no longer has; a load
 # drops them whatever their value. clip_norm is now nn.CLIP_NORM, dof is
 # DOF, epsilon is smooth_target's default floor, and refresh_interval is
@@ -405,43 +398,29 @@ RETIRED_CONFIG_FIELDS = ("clip_norm", "dof", "epsilon", "refresh_interval")
 
 
 def load_model(path):
-    """Read a model checkpoint of version 1, 2 or 3; the config's retired
-    fields are dropped. A missing field, a network that does not load, a
-    config that makes no TrainConfig, or centroids (K rows) or fairoids (at
-    least 2 rows) that are not finite 2-d arrays as wide as the last encoder
-    layer's output, is a ValueError naming the path and the field."""
-    payload, arrays = read_checkpoint(path, MODEL_FORMAT)
-    if arrays is None:
-        if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-            raise ValueError(f"{path}: not a fairclust model checkpoint")
-        read = _MATRIX_READERS.get(payload.get("version"))
-        if read is None:
-            raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-        require_fields(payload, ("config", "network", "centroids", "fairoids", "history"),
-                       f"{path}: ")
-        network, matrix = (payload["network"],), lambda name: read(payload[name])
-    else:
-        require_fields(payload, ("config", "layers", "history"), f"{path}: ")
-        require_fields(arrays, ("buffer", "centroids", "fairoids"), f"{path}: arrays: ")
-        network, matrix = (payload, arrays), arrays.get
+    """Read a model checkpoint of any version, which `read_checkpoint`
+    gives in version 3's shape; the config's retired fields are dropped. A
+    missing field, a network that does not load, a config that makes no
+    TrainConfig, or centroids (K rows) or fairoids (at least 2 rows) that
+    are not finite 2-d arrays as wide as the last encoder layer's output,
+    is a ValueError naming the path and the field."""
+    header, arrays = read_checkpoint(path, MODEL_FORMAT)
+    require_fields(header, ("config", "layers", "history"), f"{path}: ")
+    require_fields(arrays, ("buffer", "centroids", "fairoids"), f"{path}: arrays: ")
     try:
-        config = TrainConfig(**{name: value for name, value in {**payload["config"]}.items()
+        config = TrainConfig(**{name: value for name, value in {**header["config"]}.items()
                                 if name not in RETIRED_CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: config: {exc}") from None
     try:
-        params = ParamSet.from_payload(*network)
+        params = ParamSet.from_payload(header, arrays)
     except ValueError as exc:
         raise ValueError(f"{path}: network: {exc}") from None
     encoder = params.layers("enc")
     if not encoder:
         raise ValueError(f"{path}: network: no encoder layers")
-    matrices = {}
     for name, rows in (("centroids", config.K), ("fairoids", None)):
-        try:
-            matrices[name] = a = matrix(name)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {name}: {exc}") from None
+        a = arrays[name]
         if a.ndim != 2 or not np.all(np.isfinite(a)):
             raise ValueError(f"{path}: {name}: must be a finite 2-d array")
         if a.shape[1] != encoder[-1].n_out:
@@ -449,7 +428,8 @@ def load_model(path):
                              f"layer has n_out {encoder[-1].n_out}")
         if rows is not None and len(a) != rows:
             raise ValueError(f"{path}: {name}: {len(a)} rows, but config K is {rows}")
-    if len(matrices["fairoids"]) < 2:
-        raise ValueError(f"{path}: fairoids: {len(matrices['fairoids'])} rows, but a model "
+    if len(arrays["fairoids"]) < 2:
+        raise ValueError(f"{path}: fairoids: {len(arrays['fairoids'])} rows, but a model "
                          f"has at least 2 protected states")
-    return TrainedModel(params=params, config=config, history=payload["history"], **matrices)
+    return TrainedModel(params=params, config=config, history=header["history"],
+                        centroids=arrays["centroids"], fairoids=arrays["fairoids"])

@@ -1,5 +1,5 @@
-"""Dense MLP kernel: affine layers with reverse-mode gradients, momentum SGD,
-named deterministic random streams, and a finite-difference gradient checker.
+"""Dense MLP kernel: affine layers with reverse-mode gradients, momentum SGD
+and named deterministic random streams.
 
 Tensors are plain float64 numpy arrays in row-major order; a data matrix is
 (n_rows, n_features). A ParamSet keeps all of its entries in one contiguous
@@ -18,34 +18,22 @@ test: only a non-finite dot scans the buffer. `squared_error` squares its
 residual in place, and `residual_squared_error` lets a caller hand over a
 residual it owns.
 
-Checkpoints are version 3 files (`write_checkpoint`, `read_checkpoint`):
-an 8-byte magic, the header's length, a JSON header that gives each
-float64 array's shape and offset, then the arrays' raw little-endian
-bytes, which a load reads straight into the arrays it returns. So a round
-trip is exact, and a load makes no text or bytes copy of the values. JSON
-checkpoints are still read: version 1 (JSON number lists) and version 2
-(base64 `unpack_array` records). Only version 3 is written.
+A ParamSet goes to and from a checkpoint's header and arrays
+(`to_payload`, `from_payload`); the files themselves are `fairclust.ckpt`'s.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 ACTIVATIONS = ("identity", "relu")
 
+# The `format` that `to_payload` writes; the files are `fairclust.ckpt`'s.
 PARAMS_FORMAT = "fairclust-params"
-ARRAY_DTYPE = "<f8"
-# The first bytes of a version 3 checkpoint: no text file starts with 0x89.
-MAGIC = b"\x89FCLUST\n"
-CHECKPOINT_VERSION = 3
 
 # Momentum and global gradient-norm bound of `sgd_step`, in both training loops.
 MOMENTUM = 0.9
@@ -57,10 +45,6 @@ APPLY_ROWS = 4096
 
 # Values per `sgd_step` block: its one temporary, lr * v, stays at 256 KB.
 SGD_BLOCK = 32768
-# Base64 characters per slice of `unpack_array`, the version 2 reader, a
-# multiple of 4. A slice in flight holds 2.75 times this: its text, its
-# ASCII bytes and its bytes.
-DECODE_CHARS = 1 << 18
 
 
 class Rng:
@@ -240,24 +224,22 @@ class ParamSet:
         return {"format": PARAMS_FORMAT, "layers": records}, {"buffer": self.buffer[:end]}
 
     @classmethod
-    def from_payload(cls, payload, arrays=None):
-        """The set of a checkpoint: a JSON payload (version 1 or 2), whose
-        reader fills one new buffer, or a version 3 header with the arrays
-        read after it, whose `buffer` the set takes as it is. Either way
-        the set owns its buffer. The layout comes from `_layer_layout`; a
-        buffer of another size is a ValueError, and so is one holding a nan
-        or inf, which names the first entry that holds one."""
-        if arrays is None:
-            if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
-                raise ValueError("not a fairclust parameter checkpoint")
-            read = _PARAMS_READERS.get(payload.get("version"))
-            if read is None:
-                raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        else:
-            read = lambda payload, layout, size: _stored_buffer(arrays, size)
-        require_fields(payload, ("layers",))
-        layout, size = _layer_layout(payload["layers"])
-        out = cls.__new__(cls)._attach(layout, read(payload, layout, size))
+    def from_payload(cls, header, arrays):
+        """The set of a checkpoint's header and arrays, in the one shape
+        `ckpt.read_checkpoint` gives for every version: the layout comes
+        from `layer_layout(header["layers"])`, and the set takes
+        `arrays["buffer"]` as its buffer, which it then owns. A missing
+        field or a buffer of another shape than the layers need is a
+        ValueError naming it, and so is a buffer holding a nan or inf,
+        which names the first entry that holds one."""
+        require_fields(header, ("layers",))
+        layout, size = layer_layout(header["layers"])
+        require_fields(arrays, ("buffer",), "arrays: ")
+        buffer = arrays["buffer"]
+        if buffer.shape != (size,):
+            raise ValueError(f"arrays: buffer: shape {list(buffer.shape)}, "
+                             f"but the layers need [{size}]")
+        out = cls.__new__(cls)._attach(layout, buffer)
         # min and max carry any nan and make no buffer-sized temporary
         if out.buffer.size and not (math.isfinite(out.buffer.min())
                                     and math.isfinite(out.buffer.max())):
@@ -270,11 +252,12 @@ class ParamSet:
         return [n for n, (offset, _, _) in self._layout.items() if offset <= index][-1]
 
 
-def _layer_layout(records):
-    """(layout, buffer size) of a checkpoint's layer records, for every
-    version. Each record needs a name no earlier record uses, a shape of
-    two positive ints and a known activation; a record that breaks this,
-    or lacks a field, is a ValueError naming `layers[i]` and the field."""
+def layer_layout(records):
+    """(layout, buffer size) of a checkpoint's layer records, as
+    `ParamSet.from_payload` and ckpt's JSON readers check them. Each record
+    needs a name no earlier record uses, a shape of two positive ints and a
+    known activation; a record that breaks this, or lacks a field, is a
+    ValueError naming `layers[i]` and the field."""
     if not isinstance(records, list):
         raise ValueError(f"layers: must be a list, got {records!r}")
     layout, offset = {}, 0
@@ -299,77 +282,6 @@ def _layer_layout(records):
     return layout, offset
 
 
-def _stored_buffer(arrays, size):
-    """The `buffer` array of a version 3 checkpoint, which its layers say
-    holds size values."""
-    require_fields(arrays, ("buffer",), "arrays: ")
-    if arrays["buffer"].shape != (size,):
-        raise ValueError(f"arrays: buffer: shape {list(arrays['buffer'].shape)}, "
-                         f"but the layers need [{size}]")
-    return arrays["buffer"]
-
-
-def _read_params_v1(payload, layout, size):
-    """Version 1: each layer's weight and bias as flat JSON number lists."""
-    buffer = np.empty(size)
-    for rec in payload["layers"]:
-        offset, (n_in, n_out), _ = layout[rec["name"]]
-        require_fields(rec, ("weight", "bias"), f"{rec['name']}: ")
-        for name, needed in (("weight", n_in * n_out), ("bias", n_out)):
-            values = np.asarray(rec[name], dtype=float)
-            if values.shape != (needed,):
-                raise ValueError(f"{rec['name']}: {name}: holds {values.size} values, "
-                                 f"but a {n_in}x{n_out} layer needs {needed}")
-            buffer[offset : offset + needed] = values
-            offset += needed
-    return buffer
-
-
-# JSON parameter format version -> reader of the buffer: version 2 stores
-# it as one `unpack_array` record.
-_PARAMS_READERS = {1: _read_params_v1,
-                   2: lambda payload, layout, size: unpack_array(payload.get("buffer"), (size,))}
-
-
-def unpack_array(record, shape=None):
-    """The float64 array of a version 2 packed array record, `{dtype,
-    shape, data}` with data the base64 of its little-endian float64
-    bytes, decoded in slices into the one new writable array it returns,
-    which the caller owns. shape, when given, is the one the caller
-    expects. The record is checked before any decode, so a dtype, shape or
-    data that does not hold up is a ValueError naming what is wrong; so is
-    a slice the decoder rejects."""
-    if not isinstance(record, dict):
-        raise ValueError("expected a packed array record")
-    if record.get("dtype") != ARRAY_DTYPE:
-        raise ValueError(f"unsupported array dtype {record.get('dtype')!r}")
-    stored = record.get("shape")
-    if not isinstance(stored, list) or not all(
-            isinstance(n, int) and n >= 0 for n in stored):
-        raise ValueError(f"array shape must list non-negative integers, got {stored!r}")
-    if shape is not None and tuple(stored) != tuple(shape):
-        raise ValueError(f"array shape {stored} does not match the expected {list(shape)}")
-    data, size = record.get("data"), math.prod(stored) * 8
-    if not (isinstance(data, str) and data.isascii()):
-        raise ValueError("array data is not base64: it must be an ASCII string")
-    if len(data) % 4 or data.find("=", 0, len(data) - 2) >= 0:
-        raise ValueError("array data is not base64: it must be whole 4-character groups "
-                         "with '=' only in the last two places")
-    held = len(data) // 4 * 3 - data.count("=", len(data) - 2)
-    if held != size:
-        raise ValueError(f"array data holds {held} bytes; shape {stored} needs {size}")
-    out, at = np.empty(stored, dtype=ARRAY_DTYPE), 0
-    dest = out.reshape(-1).view(np.uint8)
-    for start in range(0, len(data), DECODE_CHARS):
-        try:
-            part = base64.b64decode(data[start : start + DECODE_CHARS], validate=True)
-        except ValueError as exc:
-            raise ValueError(f"array data is not base64: {exc}") from None
-        dest[at : at + len(part)] = np.frombuffer(part, dtype=np.uint8)
-        at += len(part)
-    return out
-
-
 def _entry_parts(value):
     """Validated (weight, bias, activation) of a layer, or (matrix, None, None)."""
     if isinstance(value, AffineLayer):
@@ -379,136 +291,6 @@ def _entry_parts(value):
     if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
         raise ValueError("a matrix entry must be a finite 2-d array")
     return matrix, None, None
-
-
-def write_checkpoint(path, header, arrays):
-    """Write a version 3 checkpoint: MAGIC, the header's length as 8
-    little-endian bytes, then header, a dict of JSON fields with
-    `format`, as a JSON object to which `version` and `arrays` are added,
-    padded with spaces to a multiple of 8 bytes. Then each of the named
-    float64 arrays, in order and back to back, as its raw little-endian
-    bytes, written from its own memory. `arrays` maps each name to
-    `{dtype, shape, offset}`, offset counting from the end of the header,
-    so every array starts at a multiple of 8 bytes."""
-    arrays = {name: np.ascontiguousarray(a, dtype=ARRAY_DTYPE) for name, a in arrays.items()}
-    records, end = {}, 0
-    for name, a in arrays.items():
-        records[name] = {"dtype": ARRAY_DTYPE, "shape": list(a.shape), "offset": end}
-        end += a.nbytes
-    text = json.dumps({**header, "version": CHECKPOINT_VERSION, "arrays": records},
-                      sort_keys=True).encode()
-    text += b" " * (-len(text) % 8)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + len(text).to_bytes(8, "little") + text)
-        for a in arrays.values():
-            fh.write(_bytes_of(a))
-
-
-def read_checkpoint(path, fmt):
-    """(header, arrays) of the checkpoint at path, read by the version its
-    first bytes show. A file that starts with MAGIC is version 3: its
-    header must be a JSON object of format fmt, and each of its arrays is
-    read straight into the new array that holds it. A file that starts
-    with `{` is JSON, version 1 or 2, and gives (payload, None): its
-    arrays are in the payload. Anything else, or a version 3 file that
-    does not hold up, is a ValueError that starts with the path; a fault
-    of a version 3 file names the field. The file is closed on every
-    path."""
-    with open(path, "rb") as fh:
-        lead = fh.read(len(MAGIC))
-        if lead == MAGIC:
-            try:
-                return _read_v3(fh, fmt)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-    if lead.startswith(b"{"):
-        return read_json(path), None
-    raise ValueError(f"{path}: not a fairclust checkpoint")
-
-
-def _read_v3(fh, fmt):
-    """read_checkpoint of a version 3 file, positioned after MAGIC. Every
-    record is checked against the file's size before any array is made."""
-    size = os.fstat(fh.fileno()).st_size
-    length = int.from_bytes(fh.read(8), "little")
-    start = len(MAGIC) + 8 + length
-    if start > size:
-        raise ValueError(f"header length {length} runs past the end of the file "
-                         f"({size} bytes)")
-    try:
-        header = json.loads(fh.read(length).decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"header: not UTF-8: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"header: not valid JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"header: must be a JSON object, got {type(header).__name__}")
-    if header.get("format") != fmt:
-        raise ValueError(f"format: expected {fmt!r}, got {header.get('format')!r}")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"version: expected {CHECKPOINT_VERSION} after the magic, "
-                         f"got {header.get('version')!r}")
-    require_fields(header, ("arrays",))
-    if not isinstance(header["arrays"], dict):
-        raise ValueError(f"arrays: must be an object, got {header['arrays']!r}")
-    spans = []
-    for name, rec in header["arrays"].items():
-        where = f"arrays: {name}: "
-        if not isinstance(rec, dict):
-            raise ValueError(f"{where}must be an object, got {rec!r}")
-        require_fields(rec, ("dtype", "shape", "offset"), where)
-        shape, offset = rec["shape"], rec["offset"]
-        if rec["dtype"] != ARRAY_DTYPE:
-            raise ValueError(f"{where}dtype: must be {ARRAY_DTYPE!r}, got {rec['dtype']!r}")
-        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-            raise ValueError(f"{where}shape: must list non-negative ints, got {shape!r}")
-        if type(offset) is not int:
-            raise ValueError(f"{where}offset: must be an int, got {offset!r}")
-        if offset < 0:
-            raise ValueError(f"{where}offset: {offset} overlaps the header")
-        if (start + offset) % 8:
-            raise ValueError(f"{where}offset: file byte {start + offset} is not a multiple of 8")
-        end = offset + 8 * math.prod(shape)
-        if start + end > size:
-            raise ValueError(f"{where}runs past the end of the file: it ends at byte "
-                             f"{start + end}, the file has {size}")
-        spans.append((offset, end, name))
-    spans.sort()
-    for (_, prev_end, prev), (offset, _, name) in zip(spans, spans[1:]):
-        if offset < prev_end:
-            raise ValueError(f"arrays: {name}: offset {offset} overlaps {prev}")
-    last = start + (spans[-1][1] if spans else 0)
-    if last != size:
-        raise ValueError(f"the file has {size - last} bytes after the last array")
-    arrays = {}
-    for offset, end, name in spans:
-        a = arrays[name] = np.empty(header["arrays"][name]["shape"], dtype=ARRAY_DTYPE)
-        fh.seek(start + offset)
-        got = fh.readinto(_bytes_of(a))
-        if got != end - offset:
-            raise ValueError(f"arrays: {name}: read {got} of {end - offset} bytes")
-    return header, arrays
-
-
-def _bytes_of(a):
-    """The bytes of the contiguous array a, as a view (empty arrays too)."""
-    return memoryview(a.reshape(-1).view(np.uint8))
-
-
-def save_params(params, path):
-    """Write params as a version 3 parameter checkpoint, `format`
-    fairclust-params: its layer records and its buffer."""
-    write_checkpoint(path, *params.to_payload())
-
-
-def load_params(path):
-    """Read a parameter checkpoint of version 1, 2 or 3; one that does not
-    hold up is a ValueError naming the path."""
-    payload, arrays = read_checkpoint(path, PARAMS_FORMAT)
-    try:
-        return ParamSet.from_payload(payload, arrays)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def require_finite(config):
@@ -531,17 +313,6 @@ def require_fields(record, names, where=""):
     for name in names:
         if name not in record:
             raise ValueError(f"{where}{name}: missing")
-
-
-def read_json(path):
-    """The parsed JSON file at path; bytes that are not UTF-8, or text that
-    does not parse, are a ValueError naming the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 @dataclass
@@ -677,36 +448,6 @@ def sgd_step(params, grads, velocity, lr):
         v *= MOMENTUM
         v += g[b]
         params.buffer[b] -= v * lr
-
-
-def finite_diff_check(loss_and_grad, params, h=1e-4, sample=30, rng=None):
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_and_grad(params) must return (scalar loss, ParamSet gradients).
-    A seeded random subset of `sample` coordinates is probed; the relative
-    error denominator is max(|analytic|, |numeric|, 1e-8).
-    """
-    if not 1e-6 <= h <= 1e-2:
-        raise ValueError("step h must lie in [1e-6, 1e-2]")
-    if sample > params.n_params:
-        raise ValueError("sample exceeds the parameter count")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    _, grads = loss_and_grad(params)
-    flat = params.flatten()
-    analytic = grads.flatten()
-    idx = rng.choice(flat.size, size=sample, replace=False)
-    worst = 0.0
-    for i in idx:
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        up = loss_and_grad(params.unflatten(bumped))[0]
-        bumped[i] = flat[i] - h
-        down = loss_and_grad(params.unflatten(bumped))[0]
-        numeric = (up - down) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst
 
 
 def squared_error(pred, target):

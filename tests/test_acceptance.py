@@ -27,7 +27,9 @@ from fairclust.model import (
     smooth_target,
     soft_assign,
 )
-from fairclust.nn import AffineLayer, ParamSet, backward, finite_diff_check, forward, squared_error, squared_error_grad
+from fairclust.nn import AffineLayer, ParamSet, backward, forward, squared_error, squared_error_grad
+
+from gradcheck import finite_diff_check
 
 
 @contextmanager

@@ -17,19 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairclust import cli, model, nn
-from fairclust.model import MODEL_FORMAT
-from fairclust.nn import (
+from fairclust import ckpt, cli, model
+from fairclust.ckpt import (
     MAGIC,
     PARAMS_FORMAT,
-    AffineLayer,
-    ParamSet,
     load_params,
     read_checkpoint,
     save_params,
     unpack_array,
     write_checkpoint,
 )
+from fairclust.model import MODEL_FORMAT
+from fairclust.nn import AffineLayer, ParamSet
 
 # Written by the last code that wrote version 1: a 4-6-2 autoencoder
 # pretrained on data.csv, a K=2 model trained from it, and the report that
@@ -186,6 +185,43 @@ class TestVersion2Files:
         assert load_params(V2 / "ae.json").names() == ["enc0", "enc1", "dec0", "dec1"]
 
 
+class TestOneShape:
+    # read_checkpoint gives a JSON file in version 3's shape: the same
+    # header fields and arrays as the same checkpoint saved as version 3
+    @pytest.mark.parametrize("fixture", [V1, V2], ids=["version_1", "version_2"])
+    def test_params_read_as_version_3(self, tmp_path, fixture):
+        save_params(load_params(fixture / "ae.json"), tmp_path / "ae.ckpt")
+        old_header, old_arrays = read_checkpoint(fixture / "ae.json", PARAMS_FORMAT)
+        header, arrays = read_checkpoint(tmp_path / "ae.ckpt", PARAMS_FORMAT)
+        assert old_header["format"] == PARAMS_FORMAT
+        assert old_header["layers"] == header["layers"]
+        assert old_arrays.keys() == arrays.keys() == {"buffer"}
+        assert bit_equal(old_arrays["buffer"], arrays["buffer"])
+
+    @pytest.mark.parametrize("fixture", [V1, V2], ids=["version_1", "version_2"])
+    def test_model_reads_as_version_3(self, tmp_path, fixture):
+        # saved with every layer it holds, decoder included, as the
+        # fixture holds them
+        trained = model.load_model(fixture / "model.json")
+        layers, buffer = trained.params.to_payload()
+        saved = json.loads((fixture / "model.json").read_text())
+        write_checkpoint(tmp_path / "model.ckpt",
+                         {**layers, "format": MODEL_FORMAT, "config": saved["config"],
+                          "history": saved["history"]},
+                         {**buffer, "centroids": trained.centroids,
+                          "fairoids": trained.fairoids})
+        old_header, old_arrays = read_checkpoint(fixture / "model.json", MODEL_FORMAT)
+        header, arrays = read_checkpoint(tmp_path / "model.ckpt", MODEL_FORMAT)
+        assert old_header["format"] == MODEL_FORMAT
+        assert [rec["name"] for rec in old_header["layers"]] == ["enc0", "enc1", "dec0", "dec1"]
+        assert old_header["layers"] == header["layers"]
+        assert old_header["config"] == header["config"] == saved["config"]
+        assert old_header["history"] == header["history"] == saved["history"]
+        assert old_arrays.keys() == arrays.keys() == {"buffer", "centroids", "fairoids"}
+        for name, a in arrays.items():
+            assert bit_equal(old_arrays[name], a), name
+
+
 def assert_same_model(old, new):
     assert bit_equal(old.params.buffer, new.params.buffer)
     assert bit_equal(old.centroids, new.centroids)
@@ -257,10 +293,10 @@ def layer_sets(draw):
 
 class TestVersion2RoundTrip:
     @given(st.lists(floats, max_size=24), st.integers(1, 4),
-           st.sampled_from([4, 8, 12, nn.DECODE_CHARS]))
+           st.sampled_from([4, 8, 12, ckpt.DECODE_CHARS]))
     def test_packed_array_round_trip_is_bit_exact(self, values, cols, slice_chars):
         array = np.array(values[: len(values) // cols * cols], dtype=float).reshape(-1, cols)
-        with mock.patch.object(nn, "DECODE_CHARS", slice_chars):
+        with mock.patch.object(ckpt, "DECODE_CHARS", slice_chars):
             back = unpack_array(packed_json(array))
         assert bit_equal(back, array) and owns_writable(back)
 
@@ -273,7 +309,7 @@ class TestVersion2RoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000 + nn.DECODE_CHARS + 1_000_000
+        assert peak < 8_000_000 + ckpt.DECODE_CHARS + 1_000_000
         assert owns_writable(back) and back.tobytes() == base64.b64decode(record["data"])
 
     def test_edge_values_survive(self):
@@ -326,7 +362,7 @@ class TestVersion2Errors:
 
         whole = outcome()
         for slice_chars in (4, 8):
-            with mock.patch.object(nn, "DECODE_CHARS", slice_chars):
+            with mock.patch.object(ckpt, "DECODE_CHARS", slice_chars):
                 assert outcome() == whole
 
     def test_wrong_dtype_and_shape(self):
@@ -344,8 +380,9 @@ class TestVersion2Errors:
         # version 3 is never JSON
         params = ParamSet({"enc0": AffineLayer(np.eye(2), np.zeros(2))})
         payload = v2_params(params)
+        (tmp_path / "ae.json").write_text(json.dumps({**payload, "version": 3}))
         with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
-            ParamSet.from_payload({**payload, "version": 3})
+            load_params(tmp_path / "ae.json")
         trained = model.TrainedModel(params=params, centroids=np.eye(2), fairoids=np.eye(2),
                                      config=model.TrainConfig(K=2))
         saved = v2_model(trained)
@@ -353,11 +390,12 @@ class TestVersion2Errors:
         with pytest.raises(ValueError, match="unsupported model version 3"):
             model.load_model(tmp_path / "model.json")
 
-    def test_buffer_of_the_wrong_length_for_the_layers(self):
+    def test_buffer_of_the_wrong_length_for_the_layers(self, tmp_path):
         payload = v2_params(ParamSet({"enc0": AffineLayer(np.eye(2), np.zeros(2))}))
         payload["buffer"] = pack(np.zeros(5))
+        (tmp_path / "ae.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"shape \[5\] does not match the expected \[6\]"):
-            ParamSet.from_payload(payload)
+            load_params(tmp_path / "ae.json")
 
 
 def starts_with_path(path, rest):
@@ -385,8 +423,10 @@ class TestUnreadableFiles:
         with pytest.raises(ValueError, match=starts_with_path(
                 path, "not a fairclust model checkpoint$")):
             model.load_model(path)
+        saved = json.loads((V1 / "model.json").read_text())
+        path.write_text(json.dumps({**saved, "network": [1, 2]}))
         with pytest.raises(ValueError, match="not a fairclust parameter checkpoint"):
-            ParamSet.from_payload([1, 2])
+            model.load_model(path)
 
 
 class TestMissingAndShortFields:
@@ -887,8 +927,8 @@ class TestVersion3Errors:
         path, _, _ = v3_ae(tmp_path)
         size = os.path.getsize(path)
         path.write_bytes(path.read_bytes()[:-16])
-        with mock.patch.object(nn.os, "fstat", return_value=os.stat_result((0,) * 6 + (size,)
-                                                                          + (0,) * 3)):
+        with mock.patch.object(ckpt.os, "fstat", return_value=os.stat_result((0,) * 6 + (size,)
+                                                                            + (0,) * 3)):
             with pytest.raises(ValueError, match=starts_with_path(
                     path, "arrays: buffer: read 704 of 720 bytes$")):
                 load_params(path)

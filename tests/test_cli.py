@@ -13,7 +13,8 @@ from fairclust.cli import (AE_OPTS, FIELD_OF, SYNTH_OPTS, TRAIN_OPTS, _config, _
                            build_parser, main, parse_config_file, resolve)
 from fairclust.data import SynthSpec, save_csv, synth_blobs
 from fairclust.model import TrainConfig
-from fairclust.nn import Rng, read_checkpoint, save_params
+from fairclust.ckpt import read_checkpoint, save_params
+from fairclust.nn import Rng
 
 
 def run_cli(*args):

@@ -81,11 +81,13 @@ class TestLoadCsv:
             load_csv(path, {"z": "feature", "g": "protected"})
 
     def test_one_hot_round_trip(self):
-        values = ["u", "v", "w", "v", "u", "w", "w"]
-        codes, levels = encode_first_appearance(values)
-        block = one_hot(codes, len(levels))
-        recovered = [levels[i] for i in block.argmax(axis=1)]
-        assert recovered == values
+        # integers not written as their canonical decimal stay distinct
+        # levels: "00" is not "0", nor "+1" "1"
+        for values in (["u", "v", "w", "v", "u", "w", "w"], ["0", "00", "1"], ["1", "+1", "0"]):
+            codes, levels = encode_first_appearance(values)
+            block = one_hot(codes, len(levels))
+            recovered = [levels[i] for i in block.argmax(axis=1)]
+            assert recovered == values
 
 
 SCHEMA_AB = {"a": "feature", "b": "feature", "g": "protected"}

@@ -28,7 +28,9 @@ from fairclust.model import (
     soft_assign,
     train,
 )
-from fairclust.nn import AffineLayer, ParamSet, Rng, backward, finite_diff_check
+from fairclust.nn import AffineLayer, ParamSet, Rng, backward
+
+from gradcheck import finite_diff_check
 
 
 def row_stochastic(rng, rows, cols, low=0.05):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fairclust import nn
 from fairclust.autoencoder import AeConfig, encode, init_params
+from fairclust.ckpt import load_params, save_params
 from fairclust.data import SynthSpec
 from fairclust.model import TrainConfig
 from fairclust.nn import (
@@ -20,15 +21,14 @@ from fairclust.nn import (
     apply,
     backward,
     clip_gradients,
-    finite_diff_check,
     forward,
     init_layer,
-    load_params,
-    save_params,
     sgd_step,
     squared_error,
     squared_error_grad,
 )
+
+from gradcheck import finite_diff_check
 
 
 def random_params(rng, dims=(5, 7, 3), last_identity=True):
