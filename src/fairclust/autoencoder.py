@@ -200,7 +200,8 @@ def pretrain_layerwise(X, cfg, rng=None):
             params[name].bias[...] = pair[name].bias
         del pair
         log += pair_log
-        h = apply([params[names[0]]], h)
+        if i < depth - 1:  # the bottleneck's output trains nothing
+            h = apply([params[names[0]]], h)
     return params, log
 
 

@@ -170,7 +170,10 @@ def _params_from_json(payload):
         for rec, (offset, (n_in, n_out), _) in zip(payload["layers"], layout.values()):
             require_fields(rec, ("weight", "bias"), f"{rec['name']}: ")
             for name, needed in (("weight", n_in * n_out), ("bias", n_out)):
-                values = np.asarray(rec[name], dtype=float)
+                try:
+                    values = np.asarray(rec[name], dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{rec['name']}: {name}: {exc}") from None
                 if values.shape != (needed,):
                     raise ValueError(f"{rec['name']}: {name}: holds {values.size} values, "
                                      f"but a {n_in}x{n_out} layer needs {needed}")

@@ -147,11 +147,14 @@ def load_csv(path, schema):
     order, not the schema's (a manifest's roles are key-sorted: f0, f1,
     f10, ...).
 
-    The file is opened and read once. Each row's numeric cells are
-    converted by one numpy call, which parses each cell as `float()` does
+    The file is opened once, and one `np.loadtxt` call reads its data
+    rows. Rows that call refuses, or that hold a blank line or a non-finite
+    value, are read again from the same handle, row by row with the `csv`
+    module; so is a file that cannot seek, such as a pipe, from the start.
+    That pass parses each numeric cell as `float()` does
     (surrounding whitespace and CSV quotes are dropped; "1_000" and
-    non-ASCII digits are accepted). The first bad row in file order is an
-    error naming the row: a blank line, the wrong number of cells, or a
+    non-ASCII digits are accepted), and the first bad row in file order is
+    an error naming the row: a blank line, the wrong number of cells, or a
     missing, unparseable or non-finite numeric cell, whose column is named
     too.
     """
@@ -173,21 +176,33 @@ def load_csv(path, schema):
         raise ValueError("schema must name at least one feature column")
 
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        # the header is read by readline, which keeps fh.tell() usable
+        header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:
             raise ValueError("empty CSV file")
-        missing = [c for c in schema if c not in header]
+        first, twice = {}, set()
+        for i, name in enumerate(header):
+            if first.setdefault(name, i) != i:
+                twice.add(name)
+        missing = [c for c in schema if c not in first]
         if missing:
             raise ValueError(f"columns not present in the file: {missing}")
-        repeated = [c for c in schema if header.count(c) > 1]
+        repeated = [c for c in schema if c in twice]
         if repeated:
             raise ValueError(f"columns named more than once in the header: {repeated}")
-        col_idx = {c: header.index(c) for c in schema}
+        col_idx = {c: first[c] for c in schema}
         feature_cols.sort(key=col_idx.get)
         categorical_cols.sort(key=col_idx.get)
         text_cols = categorical_cols + protected_cols + label_cols
-        numeric, text = _read_rows(reader, len(header), col_idx, feature_cols, text_cols)
+        parsed = None
+        if fh.seekable():  # the row scan may have to start over; a pipe gets it alone
+            start = fh.tell()
+            parsed = _load_rows(fh, len(header), col_idx, feature_cols, text_cols)
+            if parsed is None:
+                fh.seek(start)
+        if parsed is None:
+            parsed = _read_rows(csv.reader(fh), len(header), col_idx, feature_cols, text_cols)
+    numeric, text = parsed
     raw_cat = text[: len(categorical_cols)]
     raw_prot = text[len(categorical_cols)]
 
@@ -206,6 +221,63 @@ def load_csv(path, schema):
     if label_cols:
         labels, _ = encode_first_appearance(text[-1])
     return Dataset(features, protected, labels=labels, feature_names=names)
+
+
+def _load_rows(fh, width, col_idx, feature_cols, text_cols):
+    """(numeric block, stripped text columns) from the data rows left in
+    `fh`, read by one `np.loadtxt` call; or None when loadtxt refuses them
+    or `_read_rows` must read them to tell what they hold: a blank line
+    (loadtxt skips it), no data row, rows not as wide as the header, or a
+    non-finite value. The block is loadtxt's own buffer, its feature
+    columns moved to the front and the rest cut off, so no second
+    data-sized array is made."""
+    numeric_idx = [col_idx[c] for c in feature_cols]
+    text = [[] for _ in text_cols]
+    converters = dict.fromkeys(range(width), _unused_cell)
+    for i in numeric_idx:
+        del converters[i]
+    for cells, c in zip(text, text_cols):
+        converters[col_idx[c]] = _cells_keeper(cells)
+    try:
+        # no usecols: with it, loadtxt ignores surplus cells in a row
+        block = np.loadtxt(_data_lines(fh), dtype=float, delimiter=",", quotechar='"',
+                           comments=None, ndmin=2, converters=converters)
+    except ValueError:
+        return None
+    if block.shape[1] != width or not np.isfinite(block).all():
+        return None
+    n, d = block.shape[0], len(numeric_idx)
+    take, flat = np.array(numeric_idx, dtype=np.intp), block.reshape(-1)
+    for i in range(n):  # row i moves to flat[i*d:], at or before its own start
+        flat[i * d:(i + 1) * d] = block[i, take]
+    del flat  # no view of block is left, so it can shrink in place
+    block.resize((n, d), refcheck=False)
+    return block, text
+
+
+def _cells_keeper(cells):
+    """A loadtxt converter that appends each stripped cell to `cells`."""
+    def keep(cell):
+        cells.append(cell.strip())
+        return 0.0
+    return keep
+
+
+def _unused_cell(cell):
+    return 0.0
+
+
+def _data_lines(fh):
+    """The lines left in `fh`. Raises ValueError at a blank line, which
+    loadtxt would skip, and at the end of a file with no line left, on
+    which loadtxt warns."""
+    line = None
+    for line in fh:
+        if line in ("\n", "\r\n", "\r"):
+            raise ValueError("blank line")
+        yield line
+    if line is None:
+        raise ValueError("no data rows")
 
 
 def _read_rows(reader, width, col_idx, feature_cols, text_cols):

@@ -548,6 +548,17 @@ class TestMissingAndShortFields:
             model.load_model(path)
 
 
+    @pytest.mark.parametrize("value, cause", [("abc", "could not convert string to float"),
+                                              ({"a": 1}, "float() argument must be")])
+    def test_version_1_layer_values_that_are_not_numbers(self, tmp_path, value, cause):
+        saved = json.loads((V1 / "ae.json").read_text())
+        saved["layers"][0]["weight"] = value
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=starts_with_path(
+                path, "enc0: weight: " + re.escape(cause))):
+            load_params(path)
+
 def model_file(tmp_path, version, **fields):
     """The version 1 fixture model, as the given version, with fields
     replaced; an array is stored as that version stores it, and a network,

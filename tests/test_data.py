@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from fairclust import data
 from fairclust.data import (
     Dataset,
     SynthSpec,
@@ -30,6 +33,18 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def count_opens(monkeypatch):
+    """The list that every later Path.open appends its path to."""
+    opened, real_open = [], Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    return opened
 
 
 class TestLoadCsv:
@@ -116,6 +131,8 @@ REJECTED = {
                                            "row 2, column 'b': non-finite value 'nan'"),
     "schema column twice in the header": ("a,b,a,g\n1,2,3,u\n4,5,6,v\n",
                                           "columns named more than once in the header: ['a']"),
+    "header-only file": ("a,b,g\n", "CSV contains no data rows"),
+    "empty file": ("", "empty CSV file"),
 }
 
 FORMATS = [repr, lambda v: "%.17g" % v, lambda v: f"  {v!r} ", lambda v: f'"{v!r}"']
@@ -147,24 +164,44 @@ class TestVectorizedParse:
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(ds.protected, [0, 1])
 
-    def test_clean_file_is_opened_once_without_loadtxt(self, tmp_path, monkeypatch):
+    def test_clean_file_is_opened_once_without_the_row_scan(self, tmp_path, monkeypatch):
         ds = synth_blobs(SynthSpec(n_points=50, dims=12, n_blobs=2, T=3,
                                    correlation=0.5, seed=6))
         save_csv(ds, tmp_path / "d.csv")
         schema = json.loads((tmp_path / "d.manifest.json").read_text())["column_roles"]
-        opened, real_open = [], Path.open
-
-        def counting_open(self, *args, **kwargs):
-            opened.append(self)
-            return real_open(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "open", counting_open)
-        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
+        opened = count_opens(monkeypatch)
+        monkeypatch.setattr(data, "_read_rows", mock.Mock(side_effect=AssertionError))
         back = load_csv(tmp_path / "d.csv", schema)
         assert opened == [tmp_path / "d.csv"]
+        assert back.features.flags.c_contiguous
         assert back.features.tobytes() == ds.features.tobytes()
         np.testing.assert_array_equal(back.protected, ds.protected)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_refused_rows_are_read_again_from_the_same_handle(self, tmp_path, monkeypatch):
+        # loadtxt refuses "1_000"; the row scan reads it as float() does
+        path = write_csv(tmp_path, "a,b,g\n1_000,2,u\n3,4,v\n")
+        opened = count_opens(monkeypatch)
+        scan = mock.Mock(wraps=data._read_rows)
+        monkeypatch.setattr(data, "_read_rows", scan)
+        ds = load_csv(path, SCHEMA_AB)
+        assert opened == [path] and scan.call_count == 1
+        np.testing.assert_array_equal(ds.features, [[1000.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_by_the_row_scan(self, tmp_path):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("a,b,g\n1,2,u\n3,4,v\n",),
+                                  daemon=True)
+        writer.start()
+        try:
+            ds = load_csv(path, SCHEMA_AB)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.protected, [0, 1])
 
     def test_numeric_only_load_holds_one_feature_matrix(self, tmp_path):
         # with no categorical block the parsed block is the feature matrix:
@@ -196,6 +233,73 @@ class TestVectorizedParse:
         ds = load_csv(path, schema)
         expected = np.array([[float(c.strip().strip('"')) for c in row] for row in cells])
         assert ds.features.tobytes() == expected.tobytes()
+
+
+def reference_load(path, schema):
+    """load_csv's result from csv.reader and float() on each stripped cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    columns = {c: [row[header.index(c)].strip() for row in rows] for c in schema}
+    names = [c for c in header if schema.get(c) == "feature"]
+    blocks = [np.array([[float(v) for v in cells] for cells in zip(*map(columns.get, names))])]
+    for c in (c for c in header if schema.get(c) == "categorical"):
+        codes, levels = encode_first_appearance(columns[c])
+        blocks.append(one_hot(codes, len(levels)))
+        names.extend(f"{c}={level}" for level in levels)
+    codes = {schema[c]: encode_first_appearance(columns[c])[0] for c in schema
+             if schema[c] in ("protected", "label")}
+    return np.hstack(blocks), codes["protected"], codes.get("label"), tuple(names)
+
+
+# text cells: a quoted cell doubles its quotes and may hold a delimiter or a
+# line break; an unquoted one may hold a quote after its first character
+TEXT = st.text(alphabet='ab ,"\n\r\t\u00e9', max_size=6)
+
+
+@st.composite
+def text_cell(draw, prefix=""):
+    value = prefix + draw(TEXT)
+    if draw(st.booleans()):
+        return '"' + value.replace('"', '""') + '"' + draw(st.sampled_from(["", " ", "\t"]))
+    value = "".join(ch for ch in value if ch not in ',\n\r').lstrip('"')
+    return draw(st.sampled_from(["{}", " {} ", "\t{}"])).format(value)
+
+
+@st.composite
+def number_cell(draw):
+    v = draw(st.floats(allow_nan=False, allow_infinity=False))
+    form = draw(st.sampled_from(["{!r}", "{:.17g}", "  {!r} ", '"{!r}"', '" {!r} "', '"{!r}" ']))
+    return form.format(v)
+
+
+class TestLoadtxtMatchesTheRowScan:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_load_equals_csv_reader_and_float(self, tmp_path_factory, draw):
+        roles = (["feature"] * draw.draw(st.integers(1, 3))
+                 + ["unused"] * draw.draw(st.integers(0, 2))
+                 + ["categorical"] * draw.draw(st.integers(0, 1))
+                 + ["label"] * draw.draw(st.integers(0, 1)) + ["protected"])
+        roles = draw.draw(st.permutations(roles))
+        header = [f"c{j}" for j in range(len(roles))]
+        n = draw.draw(st.integers(2, 5))
+        lines = []
+        for i in range(n):
+            cells = [draw.draw(number_cell()) if role == "feature"
+                     else draw.draw(text_cell(f"s{i % 2}")) if role == "protected"
+                     else draw.draw(text_cell()) for role in roles]
+            lines.append(",".join(cells) + draw.draw(st.sampled_from(["\n", "\r\n"])))
+        if draw.draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(",".join(header) + "\n" + "".join(lines), encoding="utf-8", newline="")
+        schema = {c: role for c, role in zip(header, roles) if role != "unused"}
+        ds = load_csv(path, schema)
+        features, protected, labels, names = reference_load(path, schema)
+        assert ds.features.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(ds.protected, protected)
+        np.testing.assert_array_equal(ds.labels, labels)
+        assert ds.feature_names == names
 
 
 class TestNormalize:
