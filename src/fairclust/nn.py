@@ -6,7 +6,7 @@ Tensors are plain float64 numpy arrays in row-major order; a data matrix is
 buffer, and its layers are views into that buffer; a gradient is a second
 ParamSet with the same layout. A layer step makes one new array, its
 output. `forward` keeps a tape of layer inputs and outputs for `backward`;
-`apply`, for inference, keeps none and runs in row chunks; neither
+`apply`, for inference, keeps none and fills one output in row chunks; neither
 corrupts its input, as dropout belongs to pretraining. `backward` writes
 the layer gradients into the views its caller passes. `sgd_step` is the
 one training step of both loops: it clips the gradients to the global
@@ -39,9 +39,9 @@ PARAMS_FORMAT = "fairclust-params"
 MOMENTUM = 0.9
 CLIP_NORM = 5.0
 
-# Rows per chunk of `apply`: an activation of a 2000-unit layer stays under
-# 66 MB whatever the row count.
-APPLY_ROWS = 4096
+# Rows per chunk of `apply`: an activation of a 2000-unit layer stays at
+# 8.2 MB whatever the row count.
+APPLY_ROWS = 512
 
 # Values per `sgd_step` block: its one temporary, lr * v, stays at 256 KB.
 SGD_BLOCK = 32768
@@ -360,15 +360,22 @@ def forward(layers, x):
 def apply(layers, x):
     """The stack's output on x with no tape and no corruption, computed
     APPLY_ROWS rows at a time. Up to APPLY_ROWS rows it equals
-    `forward(layers, x)[0]` bit for bit; above, each chunk is its own GEMM,
-    whose float64 rounding can differ in the last bits (about 1e-15)."""
-    x, chunks = _matrix(x), []
+    `forward(layers, x)[0]` bit for bit and is that pass's own output.
+    Above, each chunk's output is written into one array preallocated from
+    the first chunk's width, and each chunk is its own GEMM, whose float64
+    rounding can differ from an unchunked pass in the last bits (about
+    1e-15)."""
+    x, out = _matrix(x), None
     for start in range(0, max(len(x), 1), APPLY_ROWS):
         h = x[start : start + APPLY_ROWS]
         for i, layer in enumerate(layers):
             h = _layer_step(i, layer, h)
-        chunks.append(h)
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        if len(h) == len(x):
+            return h
+        if out is None:
+            out = np.empty((len(x), h.shape[1]))
+        out[start : start + len(h)] = h
+    return out
 
 
 def backward(tape, upstream, out, input_grad=False):

@@ -7,11 +7,11 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from fairclust import autoencoder, cli, clustering, data, model
+from fairclust import autoencoder, cli, clustering, data, metrics, model, nn
 from fairclust.autoencoder import AeConfig
 from fairclust.cli import (AE_OPTS, FIELD_OF, SYNTH_OPTS, TRAIN_OPTS, _config, _write_jsonl,
                            build_parser, main, parse_config_file, resolve)
-from fairclust.data import SynthSpec, save_csv, synth_blobs
+from fairclust.data import Dataset, SynthSpec, save_csv, synth_blobs
 from fairclust.model import TrainConfig
 from fairclust.ckpt import read_checkpoint, save_params
 from fairclust.nn import Rng
@@ -361,6 +361,28 @@ class TestEval:
             assert code == 0 and len(calls) == 1
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_eval_across_chunk_boundaries(self, trained_dir, tmp_path):
+        # 2 * APPLY_ROWS + 1 rows encode as two full chunks and a one-row one
+        rows = nn.APPLY_ROWS
+        ds = synth_blobs(SynthSpec(n_points=2 * rows + 1, dims=4, n_blobs=2, T=2,
+                                   correlation=0.9, blob_spread=0.08, seed=4))
+        head = Dataset(ds.features[:rows], ds.protected[:rows], labels=ds.labels[:rows],
+                       T=ds.T)
+        path = trained_dir / "seed_1" / "model.ckpt"
+        latents = {}
+        for name, part in (("all", ds), ("head", head)):
+            save_csv(part, tmp_path / f"{name}.csv")
+            code = run_cli("eval", "--model", path, "--data", tmp_path / f"{name}.csv",
+                           "--normalize", "none", "--dump-latent", "true",
+                           "--out", tmp_path / name)
+            assert code == 0
+            latents[name] = (tmp_path / name / "latent.csv").read_bytes().splitlines()
+        rep = metrics.report(model.load_model(path), data.load_with_manifest(tmp_path / "all.csv"))
+        assert (tmp_path / "all" / "report.json").read_text() == rep.to_json()
+        # the first chunk is the same product as the head file's one pass
+        assert len(latents["all"]) == 2 * rows + 2 and len(latents["head"]) == rows + 1
+        assert latents["all"][: rows + 1] == latents["head"]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--normalize", "bogus", "unknown normalization mode 'bogus'"),

@@ -112,10 +112,12 @@ class TestApply:
         assert peak(lambda: encode(params, x)) < peak(
             lambda: forward(params.layers("enc"), x)) / 10
 
-    def test_layer_step_makes_one_activation_sized_array(self):
+    def test_layer_step_makes_one_activation_sized_array(self, monkeypatch):
         # each layer step forms its product and adds the bias and the relu
         # in place: the 2048-wide layer costs one 1000 x 2048 float64 array
-        # (16.4 MB) on top of its 1000 x 256 input, not three
+        # (16.4 MB) on top of its 1000 x 256 input, not three. The 1000 rows
+        # are one chunk, so the bound is on a full-height layer step.
+        monkeypatch.setattr(nn, "APPLY_ROWS", 1000)
         params = init_params((16, 256, 2048, 2), Rng(0).stream("init"))
         x = np.random.default_rng(1).random((1000, 16))
         tracemalloc.start()
@@ -125,6 +127,31 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 1000 * 2048 * 8
+
+    def test_chunks_are_written_into_one_output(self, monkeypatch):
+        # above APPLY_ROWS each chunk's rows are the stack's forward pass on
+        # those rows, written into one preallocated output: the wide last
+        # layer's output is held once, with one chunk's steps beside it, not
+        # a list of chunks and then their concatenation (twice the output)
+        rng = np.random.default_rng(6)
+        layers = random_params(rng, dims=(8, 16, 1024)).layers()
+        monkeypatch.setattr(nn, "APPLY_ROWS", 64)
+        x = rng.standard_normal((10 * 64 + 5, 8))
+        out = apply(layers, x)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == (645, 1024)
+        for start in range(0, len(x), 64):
+            rows = slice(start, start + 64)
+            assert out[rows].tobytes() == forward(layers, x[rows])[0].tobytes()
+        tracemalloc.start()
+        try:
+            apply(layers, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_steps = 64 * (16 + 1024) * 8
+        # plus 128 KB for numpy's ufunc buffer (8192 float64 values, 64 KB)
+        assert peak < out.nbytes + chunk_steps + 2**17
 
 
 class TestBackward:
